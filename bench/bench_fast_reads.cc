@@ -4,8 +4,8 @@
 // Closed-loop clients hammer a 5-server cluster whose quorums are strict
 // (R+W>N, hinted handoff off — the mode where the fast path may engage).
 // Sweeps replica count N in {3, 5} and write ratio in {0%, 5%, 20%}, each
-// with fast_reads off (baseline) and on. Reported throughput is completed
-// reads per simulated second; the speedup column is on/off at equal
+// with the quorum read plan (baseline) and the primary plan. Reported
+// throughput is completed reads per simulated second; the speedup column is on/off at equal
 // configuration. The acceptance bar is >= 1.5x at N=3 under a >= 95%-read
 // workload.
 //
@@ -80,7 +80,8 @@ RunResult RunOne(int n, double write_ratio, bool fast, bool short_mode) {
   config.write_quorum = (n + 2) / 2;
   config.read_quorum = n + 1 - config.write_quorum;
   config.hinted_handoff = false;  // anchoring precondition (see DESIGN.md)
-  config.fast_reads = fast;
+  config.read_path =
+      fast ? cluster::ReadPath::kPrimary : cluster::ReadPath::kQuorum;
   cluster::Cluster cluster(config, /*seed=*/7);
   if (!cluster.Start().ok()) return result;
 
@@ -89,7 +90,7 @@ RunResult RunOne(int n, double write_ratio, bool fast, bool short_mode) {
   }
   // Let the preload writes age past the quiescence window so the sweep
   // starts from clean dirty sets in both arms.
-  cluster.RunFor(config.fast_read_quiescence + kMicrosPerSecond);
+  cluster.RunFor(cluster::kFastReadQuiescence + kMicrosPerSecond);
 
   for (int c = 0; c < kClients; ++c) {
     auto driver = std::make_unique<Driver>();

@@ -111,9 +111,10 @@ ArmResult RunOne(double theta, bool skewed_writes, bool hot, bool short_mode) {
   config.write_quorum = 2;
   config.read_quorum = 2;  // strict (R+W>N): both arms serve consistent reads
   config.hinted_handoff = false;
-  config.fast_reads = true;  // the rotation refines the fast path, so both
-                             // arms share it; only hot_reads differs
-  config.hot_reads = hot;
+  // The rotation refines the primary plan, so both arms run single-replica
+  // reads; only the hot rotation differs.
+  config.read_path =
+      hot ? cluster::ReadPath::kHotRotation : cluster::ReadPath::kPrimary;
   // The Zipf head sees thousands of qps at this closed-loop demand; the
   // uniform tail a handful. This bar separates them with a wide margin.
   config.heat.hot_qps = 50.0;
@@ -124,7 +125,7 @@ ArmResult RunOne(double theta, bool skewed_writes, bool hot, bool short_mode) {
     (void)cluster.PutSync("k" + std::to_string(i), ToBytes("seed"));
   }
   // Age the preload past the quiescence window: clean dirty sets all round.
-  cluster.RunFor(config.fast_read_quiescence + kMicrosPerSecond);
+  cluster.RunFor(cluster::kFastReadQuiescence + kMicrosPerSecond);
 
   // The pickers are built after the preload so the flash-crowd schedule can
   // anchor its onset in the warmup that follows.

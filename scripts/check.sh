@@ -9,6 +9,7 @@
 #   scripts/check.sh tidy       # repo lint + analyzer + clang-tidy
 #   scripts/check.sh chaos      # seeded chaos sweep, all profiles
 #   scripts/check.sh coverage   # line coverage (scripts/coverage.sh)
+#   scripts/check.sh hashes REV # chaos history hashes: REV vs working tree
 #   scripts/check.sh all        # everything, sequentially
 #
 # Each job configures its own build tree (build-check-<job>/) so sanitizer
@@ -49,15 +50,85 @@ job_chaos() {
     ./build-check-default/tools/chaos_runner \
       --seeds="${seeds}" --profile="${profile}" --verify --quiet
   done
-  echo "==> [chaos] chaos_runner --seeds=${seeds} --profile=quorum --fast-reads --verify"
+  echo "==> [chaos] chaos_runner --seeds=${seeds} --profile=quorum --read-path=primary --verify"
   ./build-check-default/tools/chaos_runner \
-    --seeds="${seeds}" --profile=quorum --fast-reads --verify --quiet
+    --seeds="${seeds}" --profile=quorum --read-path=primary --verify --quiet
   echo "==> [chaos] chaos_runner --seeds=${seeds} --profile=convergence --shards=2 --verify"
   ./build-check-default/tools/chaos_runner \
     --seeds="${seeds}" --profile=convergence --shards=2 --verify --quiet
 }
 
 job_coverage() { scripts/coverage.sh; }
+
+# Behaviour-preservation proof for refactors: builds chaos_runner at
+# <base-rev> (in a temporary git worktree) and in the working tree, runs
+# the same seeds of every chaos profile on both and diffs the per-seed
+# history hashes. Same seed => same history, so identical hashes mean the
+# change did not alter any message, timer or outcome the checker sees.
+# Exits non-zero when any hash differs and lists the seeds that moved.
+job_hashes() {
+  local base="${1:-}"
+  if [[ -z "${base}" ]]; then
+    echo "usage: scripts/check.sh hashes <base-rev>" >&2
+    exit 2
+  fi
+  local seeds="${HOTMAN_CHAOS_SEEDS:-1-50}"
+  local work
+  work="$(mktemp -d "${TMPDIR:-/tmp}/hotman-hashes.XXXXXX")"
+  # shellcheck disable=SC2064  # expand ${work} now, not at exit
+  trap "git worktree remove --force '${work}/base' >/dev/null 2>&1 || true;
+        git worktree prune; rm -rf '${work}'" EXIT
+  git worktree add --detach "${work}/base" "${base}" >/dev/null 2>&1
+  echo "==> [hashes] build chaos_runner at ${base}"
+  cmake -B "${work}/base/build" -S "${work}/base" >/dev/null
+  cmake --build "${work}/base/build" -j "${JOBS}" --target chaos_runner >/dev/null
+  echo "==> [hashes] build chaos_runner in the working tree"
+  cmake -B build-check-hashes -S . >/dev/null
+  cmake --build build-check-hashes -j "${JOBS}" --target chaos_runner >/dev/null
+
+  local base_bin="${work}/base/build/tools/chaos_runner"
+  local head_bin="build-check-hashes/tools/chaos_runner"
+  # Revisions before the read-plan enum spelled the primary plan
+  # --fast-reads.
+  local base_primary="--read-path=primary"
+  if ! "${base_bin}" --help 2>&1 | grep -q -- "--read-path"; then
+    base_primary="--fast-reads"
+  fi
+  local changed=0 profile flags base_flags
+  for profile in quorum quorum:primary convergence convergence:shards2 \
+                 membership skew; do
+    case "${profile}" in
+      quorum:primary)      flags="--profile=quorum --read-path=primary"
+                           base_flags="--profile=quorum ${base_primary}" ;;
+      convergence:shards2) flags="--profile=convergence --shards=2"
+                           base_flags="${flags}" ;;
+      *)                   flags="--profile=${profile}"
+                           base_flags="${flags}" ;;
+    esac
+    # shellcheck disable=SC2086  # flags are deliberately word-split
+    "${base_bin}" --seeds="${seeds}" ${base_flags} >"${work}/base.txt" || true
+    # shellcheck disable=SC2086
+    "${head_bin}" --seeds="${seeds}" ${flags} >"${work}/head.txt" || true
+    local pattern='s/^\(seed=[0-9]*\) profile=[a-z]* \(hash=[0-9a-f]*\).*/\1 \2/p'
+    sed -n "${pattern}" "${work}/base.txt" >"${work}/base.hashes"
+    sed -n "${pattern}" "${work}/head.txt" >"${work}/head.hashes"
+    local moved
+    moved="$(diff "${work}/base.hashes" "${work}/head.hashes" |
+             sed -n 's/^> seed=\([0-9]*\) .*/\1/p' | tr '\n' ' ' || true)"
+    local count
+    count="$(wc -l <"${work}/head.hashes")"
+    if [[ -z "${moved}" ]] && [[ "${count}" -gt 0 ]] &&
+       cmp -s "${work}/base.hashes" "${work}/head.hashes"; then
+      echo "==> [hashes] ${flags}: ${count} seeds identical"
+    else
+      changed=1
+      echo "==> [hashes] ${flags}: CHANGED seeds: ${moved}"
+    fi
+    echo "    base $(grep '^FAILING_SEEDS:' "${work}/base.txt")"
+    echo "    head $(grep '^FAILING_SEEDS:' "${work}/head.txt")"
+  done
+  return "${changed}"
+}
 
 job_tidy() {
   echo "==> [tidy] repo lint"
@@ -78,8 +149,9 @@ case "${1:-default}" in
   tidy)     job_tidy ;;
   chaos)    job_chaos ;;
   coverage) job_coverage ;;
+  hashes)   job_hashes "${2:-}" ;;
   all)      job_default; job_asan; job_ubsan; job_tsan; job_tidy; job_chaos ;;
-  *) echo "usage: scripts/check.sh [default|asan|ubsan|tsan|tidy|chaos|coverage|all]" >&2
+  *) echo "usage: scripts/check.sh [default|asan|ubsan|tsan|tidy|chaos|coverage|all|hashes REV]" >&2
      exit 2 ;;
 esac
 echo "==> OK"

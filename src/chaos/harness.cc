@@ -47,8 +47,7 @@ ChaosOptions ChaosOptions::MembershipProfile(std::uint64_t seed) {
 ChaosOptions ChaosOptions::SkewProfile(std::uint64_t seed) {
   ChaosOptions options = QuorumProfile(seed);
   options.zipf_theta = 0.99;  // YCSB-default skew: rank 0 takes ~35% of ops
-  options.fast_reads = true;
-  options.hot_reads = true;
+  options.read_path = cluster::ReadPath::kHotRotation;
   // Chaos traffic runs at a few ops/sec of virtual time; the production
   // thresholds (hundreds of qps) would never flag anything. These flag the
   // Zipf head within the warmup without flagging the uniform tail.
@@ -189,8 +188,7 @@ ChaosResult RunChaos(const ChaosOptions& options) {
   config.read_quorum = options.read_quorum;
   config.hinted_handoff = options.hinted_handoff;
   config.read_repair = options.read_repair;
-  config.fast_reads = options.fast_reads;
-  config.hot_reads = options.hot_reads;
+  config.read_path = options.read_path;
   config.heat = options.heat;
   config.shards = options.shards;
   config.anti_entropy = options.anti_entropy;

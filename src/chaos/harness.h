@@ -8,6 +8,7 @@
 
 #include "chaos/checker.h"
 #include "chaos/nemesis.h"
+#include "cluster/config.h"
 #include "cluster/heat_tracker.h"
 #include "common/clock.h"
 #include "workload/history.h"
@@ -28,22 +29,18 @@ struct ChaosOptions {
   bool hinted_handoff = true;
   bool read_repair = true;
   bool anti_entropy = true;
-  /// Dirty-set fast read path (primary-anchored single-replica reads of
-  /// clean keys). Only engages when hinted_handoff is off; the checker's
-  /// full real-time rule set is exactly what proves it safe.
-  bool fast_reads = false;
+  /// Read plan for clean keys (ClusterConfig::read_path). The
+  /// single-replica plans only engage when hinted_handoff is off; the
+  /// checker's full real-time rule set is exactly what proves them safe,
+  /// hot-key rotation included.
+  cluster::ReadPath read_path = cluster::ReadPath::kQuorum;
   /// Shards per node (ClusterConfig::shards). The deterministic runtime
   /// multiplexes every shard onto the node's simulated transport, so a
   /// multi-shard sweep replays bit-identically per seed — this exists to
   /// prove the shard-per-core partitioning preserves every consistency
   /// property, not to model speedup.
   int shards = 1;
-  /// Hot-key read fan-out (ClusterConfig::hot_reads): reads of hot clean
-  /// keys rotate across replicas, digest-verified against the primary.
-  /// Implies nothing about the checker — the same real-time rules that
-  /// prove fast reads safe must stay green with the rotation on.
-  bool hot_reads = false;
-  /// Heat-sketch thresholds for the hot path. The defaults flag nothing at
+  /// Heat-sketch thresholds for the hot plan. The defaults flag nothing at
   /// chaos traffic rates (a few ops/sec); SkewProfile lowers them so the
   /// Zipf head actually trips the fan-out under the nemesis.
   cluster::HeatConfig heat;
@@ -110,8 +107,8 @@ struct ChaosOptions {
   static ChaosOptions MembershipProfile(std::uint64_t seed);
 
   /// Skewed-workload profile: the strict-quorum base with Zipf(0.99) key
-  /// popularity, fast reads on and the hot-key rotation armed at
-  /// test-scale heat thresholds. The head key stays dirty-prone (half the
+  /// popularity and the hot-rotation read plan armed at test-scale heat
+  /// thresholds. The head key stays dirty-prone (half the
   /// ops are writes) while its reads fan across replicas mid-partition —
   /// exactly the window where a digest bug would surface as a stale read.
   static ChaosOptions SkewProfile(std::uint64_t seed);

@@ -14,6 +14,29 @@
 
 namespace hotman::cluster {
 
+/// How long a key stays dirty after a write that did not settle on all N
+/// holders (some holder may still be catching up via read repair or
+/// anti-entropy; quorum reads keep repair pressure on it meanwhile).
+inline constexpr Micros kFastReadQuiescence = 3 * kMicrosPerSecond;
+
+/// The plan a read of a clean key runs (StorageNode::CoordinateGet).
+enum class ReadPath {
+  /// Every read asks the N preference holders and waits for R answers.
+  kQuorum,
+  /// Harmonia-style single-replica read at the key's primary holder. To
+  /// keep the quorum intersection, writes are then primary-anchored: in
+  /// strict mode (hinted_handoff off) a write only succeeds once the
+  /// primary acked, so the one-replica read set {primary} intersects every
+  /// completed write set.
+  kPrimary,
+  /// kPrimary, plus reads of *hot* keys rotate their payload read across
+  /// the non-primary holders, verified by a version digest probe at the
+  /// primary: the replica's value is served only when its (_ts, _origin)
+  /// equals the primary's, so the served version is always the primary's.
+  kHotRotation,
+};
+
+
 /// Declaration of one physical storage node.
 struct NodeSpec {
   std::string address;  ///< e.g. "db1:19870"
@@ -57,44 +80,16 @@ struct ClusterConfig {
   // --- failure handling ---
   bool hinted_handoff = true;       ///< short-failure handling (Fig. 8)
   bool read_repair = true;          ///< replica supplementation on Get
-  Micros hint_retry_interval = 2 * kMicrosPerSecond;
 
-  // --- fast consistent reads (Harmonia-style dirty-set read path) ---
-  /// Serve reads of *clean* keys (no write in flight or recently unsettled
-  /// at this coordinator) with a single replica read at the key's primary
-  /// holder instead of the full R-quorum fan-out. To keep the quorum
-  /// intersection, writes are then primary-anchored: in strict mode
-  /// (hinted_handoff off) a write only succeeds once the primary acked, so
-  /// every completed write set contains the primary and the one-replica
-  /// read set {primary} intersects it. Dirty keys, a suspected/missing
-  /// primary, and single-replica misses/errors/timeouts all fall back to
-  /// the R-quorum path.
-  bool fast_reads = false;
-  /// How long a key stays dirty after a write that did not settle on all N
-  /// holders (some holder may still be catching up via read repair or
-  /// anti-entropy; quorum reads keep repair pressure on it meanwhile).
-  Micros fast_read_quiescence = 3 * kMicrosPerSecond;
-
-  // --- hot-spot taming under skew (AutoShard-style heat tracking) ---
-  /// Track per-key operation heat in a shard-local space-saving sketch
-  /// (cluster/heat_tracker.h), merged across shards into /stats `heat.*`.
-  /// Cheap (bounded counters, no allocation on the steady path), so on by
-  /// default.
-  bool heat_tracking = true;
-  /// Sketch shape and hot thresholds (capacity, decay half-life, qps bar).
+  // --- read path (one ReadPlan executor; DESIGN.md "Read plans") ---
+  /// Which plan a read of a *clean* key runs. Every plan falls back to the
+  /// R-quorum plan on any miss, error, corrupt ack or timeout, and dirty
+  /// keys, sloppy mode (hinted_handoff on) and a suspected primary always
+  /// take the quorum plan.
+  ReadPath read_path = ReadPath::kQuorum;
+  /// Heat-sketch shape and hot thresholds (capacity, decay half-life, qps
+  /// bar); the sketch feeds kHotRotation and /stats heat.*.
   HeatConfig heat;
-  /// Act on heat in the read path: reads of *hot, clean* keys rotate their
-  /// payload read across the key's non-primary replicas (round-robin)
-  /// instead of anchoring the primary, verified by a version digest probe
-  /// to the primary — the coordinator serves the replica's value only when
-  /// its (_ts, _origin) exactly matches the primary's current version, and
-  /// demotes to the R-quorum path otherwise. The served version is
-  /// therefore always the primary's version, so the PR 6 intersection
-  /// argument is untouched; the payload service load spreads across N
-  /// nodes while the primary only answers tiny metadata probes. Requires
-  /// fast_reads (the hot path is a refinement of the clean-key fast path)
-  /// and heat_tracking.
-  bool hot_reads = false;
 
   // --- chaos negative controls (test-only; see src/chaos/) ---
   /// Address of a replica that acknowledges put_replica traffic *without

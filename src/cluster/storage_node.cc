@@ -15,6 +15,9 @@ namespace {
 /// Extra ring successors examined when picking hinted-handoff substitutes.
 constexpr std::size_t kHandoffCandidateSlack = 4;
 
+/// Period of each shard's hint write-back attempts.
+constexpr Micros kHintRetryInterval = 2 * kMicrosPerSecond;
+
 /// Collection name of shard `index`'s replica-store partition. Shard 0
 /// keeps the configured name so a single-shard node is byte-identical to
 /// the pre-sharding layout (and existing tools keep finding "records").
@@ -211,10 +214,8 @@ void StorageNode::Stop() {
       for (auto& [req, get] : gets) {
         ss->executor->CancelTimer(get.timeout_event);
         if (!get.done) {
-          get.done = true;
-          ++ss->stats.gets_failed;
-          RecordGetOutcome(*ss, get, req, /*ok=*/false);
-          get.cb(Status::Unavailable("coordinator stopped: " + id_));
+          ConcludeGet(*ss, req, &get,
+                      Status::Unavailable("coordinator stopped: " + id_));
         }
       }
       ss->dirty_keys.clear();
@@ -587,7 +588,7 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
   // client operation may trip one failure at a random node.
   if (injector_ != nullptr) injector_->MaybeInjectAnywhere();
   const std::string key = core::RecordSelfKey(record);
-  if (config_.heat_tracking) ss.heat.Record(key, transport_->NowMicros());
+  ss.heat.Record(key, transport_->NowMicros());
   std::vector<std::string> targets = PreferenceNodes(ss, key);
   if (targets.empty()) {
     ++ss.stats.puts_failed;
@@ -596,10 +597,10 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
   }
   const std::uint64_t req = (ss.next_seq++ << kShardBits) |
                             static_cast<std::uint64_t>(ss.index);
-  PendingPut put;
+  PendingPut& put = ss.pending_puts[req];
   put.key = key;
   put.primary = targets.front();
-  put.record = record;
+  put.record = std::move(record);
   put.cb = std::move(cb);
   put.started_at = transport_->NowMicros();
   put.needed = std::min<int>(config_.write_quorum, static_cast<int>(targets.size()));
@@ -612,7 +613,6 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
       config_.put_timeout, [this, &ss, req]() { OnPutTimeout(ss, req); });
   put.cleanup_event = ss.executor->ScheduleTimer(
       4 * config_.put_timeout, [this, &ss, req]() { OnPutCleanup(ss, req); });
-  ss.pending_puts.emplace(req, std::move(put));
   MarkKeyDirty(ss, key);
 
   // The primary stores the original record (isData=1) and the other N-1
@@ -621,42 +621,46 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
   // doomed attempt: the write goes straight to a temporary node with a
   // hint ("another temporary node C that is detected and found by
   // heartbeat mechanism" — Fig. 8).
+  std::vector<std::string> live;
   std::vector<std::string> known_dead;
-  known_dead.reserve(targets.size());
-  // Every non-primary target receives the identical replica-copy message,
-  // so it is encoded at most once (lazily: all-dead fan-outs skip it) and
-  // the Document copy per send shares the encoded Binary payload instead
-  // of re-running EncodePutReplica N-1 times.
-  std::optional<bson::Document> replica_body;
   for (const std::string& target : targets) {
-    if (LivenessOf(ss, target) == gossip::Liveness::kDead) {
-      known_dead.push_back(target);
-      continue;
-    }
-    if (target == targets.front()) {
-      PutReplicaMsg msg;
-      msg.req = req;
-      msg.record = record;
-      SendToNode(target, kMsgPutReplica, EncodePutReplica(msg));
-      continue;
-    }
-    if (!replica_body.has_value()) {
-      PutReplicaMsg msg;
-      msg.req = req;
-      msg.record = core::AsReplicaCopy(record);
-      replica_body = EncodePutReplica(msg);
-    }
-    SendToNode(target, kMsgPutReplica, *replica_body);
+    (LivenessOf(ss, target) == gossip::Liveness::kDead ? known_dead : live)
+        .push_back(target);
   }
+  SendPutReplicas(req, put, live);
   if (!known_dead.empty()) {
-    PendingPut& pending = ss.pending_puts.find(req)->second;
     for (const std::string& target : known_dead) {
-      pending.responded[target] = true;
-      TryHandoff(ss, req, &pending, target);
+      put.responded[target] = true;
+      TryHandoff(ss, req, &put, target);
     }
     // With handoff disabled every known-dead target counts as answered, so
     // an unreachable quorum can already be decided here (fast fail).
-    MaybeFinishPut(ss, req, &pending);
+    MaybeFinishPut(ss, req, &put);
+  }
+}
+
+void StorageNode::SendPutReplicas(std::uint64_t req, const PendingPut& put,
+                                  const std::vector<std::string>& targets) {
+  // Every non-primary target receives the identical replica-copy message,
+  // so it is encoded at most once (lazily: a primary-only fan-out skips it)
+  // and each send shares the encoded payload instead of re-running
+  // EncodePutReplica per holder.
+  std::optional<bson::Document> copy_body;
+  for (const std::string& target : targets) {
+    PutReplicaMsg msg;
+    msg.req = req;
+    if (target == put.primary) {
+      // The primary stores the original (isData=1); a copy here would
+      // silently demote the record on a retried primary.
+      msg.record = put.record;
+      SendToNode(target, kMsgPutReplica, EncodePutReplica(msg));
+      continue;
+    }
+    if (!copy_body.has_value()) {
+      msg.record = core::AsReplicaCopy(put.record);
+      copy_body = EncodePutReplica(msg);
+    }
+    SendToNode(target, kMsgPutReplica, *copy_body);
   }
 }
 
@@ -712,9 +716,10 @@ void StorageNode::TryHandoff(ShardState& ss, std::uint64_t req, PendingPut* put,
 
 void StorageNode::MaybeFinishPut(ShardState& ss, std::uint64_t req,
                                  PendingPut* put) {
-  // With fast reads in strict mode the write is primary-anchored: W acks
-  // alone are not enough, the primary must be among them. That keeps the
-  // single-replica read set {primary} inside every completed write set.
+  // With single-replica read plans in strict mode the write is
+  // primary-anchored: W acks alone are not enough, the primary must be
+  // among them. That keeps the read set {primary} inside every completed
+  // write set.
   if (!put->done && put->acks >= put->needed &&
       (!RequirePrimaryAck() || put->primary_ok)) {
     put->done = true;
@@ -722,17 +727,17 @@ void StorageNode::MaybeFinishPut(ShardState& ss, std::uint64_t req,
     RecordPutOutcome(ss, *put, req, /*ok=*/true);
     put->cb(Status::OK());
   }
-  bool all_responded = true;
   for (const auto& [target, answered] : put->responded) {
-    if (!answered) {
-      all_responded = false;
-      break;
-    }
+    if (!answered) return;
   }
-  if (!all_responded) return;
   // Everyone answered (handoff substitutes included). If the quorum is
   // still short, no outstanding ack can ever close the gap — fail fast
   // instead of parking the client until the 4x cleanup timer.
+  RetirePut(ss, req, put);
+}
+
+void StorageNode::RetirePut(ShardState& ss, std::uint64_t req,
+                            PendingPut* put) {
   if (!put->done) {
     put->done = true;
     ++ss.stats.puts_failed;
@@ -759,26 +764,7 @@ void StorageNode::OnPutTimeout(ShardState& ss, std::uint64_t req) {
     // First wave: "try to write several times to guarantee the success of
     // writing" — resend to the silent replicas (the outage may have been a
     // dropped message or a short failure that already healed)...
-    // Same encode-once sharing as the StartPut fan-out.
-    std::optional<bson::Document> replica_body;
-    for (const std::string& target : silent) {
-      if (target == put.primary) {
-        PutReplicaMsg msg;
-        msg.req = req;
-        // The primary stores the original (isData=1), mirroring StartPut; a
-        // copy here would silently demote the record on a retried primary.
-        msg.record = put.record;
-        SendToNode(target, kMsgPutReplica, EncodePutReplica(msg));
-        continue;
-      }
-      if (!replica_body.has_value()) {
-        PutReplicaMsg msg;
-        msg.req = req;
-        msg.record = core::AsReplicaCopy(put.record);
-        replica_body = EncodePutReplica(msg);
-      }
-      SendToNode(target, kMsgPutReplica, *replica_body);
-    }
+    SendPutReplicas(req, put, silent);
     put.timeout_event = ss.executor->ScheduleTimer(
         config_.put_timeout / 2, [this, &ss, req]() { OnPutTimeout(ss, req); });
     return;
@@ -806,17 +792,7 @@ void StorageNode::OnPutTimeout(ShardState& ss, std::uint64_t req) {
 void StorageNode::OnPutCleanup(ShardState& ss, std::uint64_t req) {
   auto it = ss.pending_puts.find(req);
   if (it == ss.pending_puts.end()) return;
-  PendingPut& put = it->second;
-  if (!put.done) {
-    put.done = true;
-    ++ss.stats.puts_failed;
-    RecordPutOutcome(ss, put, req, /*ok=*/false);
-    put.cb(Status::QuorumFailed("write quorum not reached for key " + put.key));
-  }
-  ss.executor->CancelTimer(put.timeout_event);
-  RetireDirtyKey(ss, put.key,
-                 /*settled_all_n=*/put.ok_acks.size() == put.pref_targets.size());
-  ss.pending_puts.erase(it);
+  RetirePut(ss, req, &it->second);
 }
 
 // --- coordinator: Get -------------------------------------------------------
@@ -828,190 +804,224 @@ void StorageNode::CoordinateGet(const std::string& key, GetCallback cb) {
     ++ss.stats.gets_coordinated;
     if (injector_ != nullptr) injector_->MaybeInjectAnywhere();
     const Micros started_at = transport_->NowMicros();
-    if (config_.heat_tracking) ss.heat.Record(key, started_at);
-    if (config_.fast_reads) {
-      // Harmonia-style fast path: a key with no write in flight (and nothing
-      // recently unsettled) can be answered by the primary holder alone —
+    ss.heat.Record(key, started_at);
+    std::optional<ReadPlan> plan;
+    if (config_.read_path != ReadPath::kQuorum) {
+      // A single-replica plan is safe only for a key with no write in
+      // flight (and nothing recently unsettled) whose primary is alive:
       // primary-anchored writes guarantee the primary saw every completed
       // write, so the one-replica read still intersects every write quorum.
       // Anchoring only holds in strict mode (hinted handoff off): with
       // substitutes taking writes for absent holders, a completed write may
-      // bypass the primary entirely, so the fast path must stand down.
+      // bypass the primary entirely, so these plans must stand down.
+      std::vector<std::string> prefs;
       if (RequirePrimaryAck() && KeyIsCleanOnShard(ss, key)) {
-        const std::vector<std::string> targets = PreferenceNodes(ss, key);
-        if (!targets.empty() &&
-            LivenessOf(ss, targets.front()) == gossip::Liveness::kAlive) {
-          // Hot refinement: a clean key the heat sketch flags hot rotates
-          // its payload read across the preference holders instead of
-          // always charging the primary. Ticket 0 (and any turn landing on
-          // the primary or a suspect replica) is a plain primary fast
-          // read, so the rotation degrades gracefully to the fast path.
-          if (config_.hot_reads && config_.heat_tracking &&
-              targets.size() >= 2 && ss.heat.IsHot(key, started_at)) {
-            const std::uint64_t ticket = ss.heat.NextRotation(key);
-            const std::size_t pick = ticket % targets.size();
-            if (pick != 0 &&
-                LivenessOf(ss, targets[pick]) == gossip::Liveness::kAlive) {
-              ++ss.stats.hot_gets_fanned;
-              StartHotGet(ss, key, std::move(cb), started_at, targets[pick],
-                          targets.front());
-              return;
-            }
-          }
-          StartGet(ss, key, std::move(cb), started_at, /*fast_path=*/true);
-          return;
-        }
+        prefs = PreferenceNodes(ss, key);
       }
-      ++ss.stats.fast_read_fallbacks;
+      if (!prefs.empty() &&
+          LivenessOf(ss, prefs.front()) == gossip::Liveness::kAlive) {
+        plan = PrimaryPlan(prefs.front());
+        // A key the heat sketch flags hot rotates its payload read across
+        // the holders instead of always charging the primary. Ticket 0 (and
+        // any turn landing on a suspect replica) keeps the primary plan.
+        if (config_.read_path == ReadPath::kHotRotation && prefs.size() >= 2 &&
+            ss.heat.IsHot(key, started_at)) {
+          const std::size_t pick = ss.heat.NextRotation(key) % prefs.size();
+          if (pick != 0 &&
+              LivenessOf(ss, prefs[pick]) == gossip::Liveness::kAlive) {
+            ++ss.stats.hot_gets_fanned;
+            plan = HotPlan(prefs[pick], prefs.front());
+          }
+        }
+      } else {
+        ++ss.stats.fast_read_fallbacks;
+      }
     }
-    StartGet(ss, key, std::move(cb), started_at, /*fast_path=*/false);
+    IssueGet(ss, key, std::move(cb), started_at,
+             plan.has_value() ? std::move(*plan) : QuorumPlan(ss, key));
   });
 }
 
-void StorageNode::StartGet(ShardState& ss, const std::string& key,
-                           GetCallback cb, Micros started_at, bool fast_path) {
-  std::vector<std::string> targets = PreferenceNodes(ss, key);
-  if (fast_path) {
-    // Single-replica read at the primary; any miss, error or timeout
-    // demotes to the quorum path instead of concluding.
-    if (!targets.empty()) targets.resize(1);
-  } else {
-    // Skip replicas the detector knows are dead (they cannot answer and
-    // would stall the all-replied miss path) — but never below the read
-    // quorum: the detector can be wrong during asymmetric partitions, and
-    // shrinking the contact list under R would let the read complete
-    // without the R confirmations the R+W>N intersection is built on.
-    // When fewer than R targets look alive, contact the full preference
-    // list and let the timeout decide.
-    std::vector<std::string> alive;
-    alive.reserve(targets.size());
-    for (const std::string& target : targets) {
-      if (LivenessOf(ss, target) != gossip::Liveness::kDead) {
-        alive.push_back(target);
-      }
-    }
-    if (static_cast<int>(alive.size()) >= config_.read_quorum) {
-      targets = std::move(alive);
+StorageNode::ReadPlan StorageNode::QuorumPlan(const ShardState& ss,
+                                              const std::string& key) const {
+  ReadPlan plan;
+  plan.targets = PreferenceNodes(ss, key);
+  // Skip replicas the detector knows are dead (they cannot answer and would
+  // stall the all-replied miss path) — but never below the read quorum: the
+  // detector can be wrong during asymmetric partitions, and shrinking the
+  // contact list under R would let the read complete without the R
+  // confirmations the R+W>N intersection is built on. When fewer than R
+  // targets look alive, contact the full preference list and let the
+  // timeout decide.
+  std::vector<std::string> alive;
+  alive.reserve(plan.targets.size());
+  for (const std::string& target : plan.targets) {
+    if (LivenessOf(ss, target) != gossip::Liveness::kDead) {
+      alive.push_back(target);
     }
   }
-  if (targets.empty()) {
+  if (static_cast<int>(alive.size()) >= config_.read_quorum) {
+    plan.targets = std::move(alive);
+  }
+  // Never degrade below R, even when the ring currently offers fewer
+  // preference nodes: a read that cannot gather R confirmations must fail
+  // rather than silently weaken the quorum.
+  plan.needed = config_.read_quorum;
+  plan.timeout = config_.get_timeout;
+  return plan;
+}
+
+StorageNode::ReadPlan StorageNode::PrimaryPlan(
+    const std::string& primary) const {
+  // R = 1 is safe here because write quorums are primary-anchored. The
+  // attempt keeps half the budget so a demoted read can still finish a full
+  // quorum round inside the caller's patience window.
+  ReadPlan plan;
+  plan.targets = {primary};
+  plan.needed = 1;
+  plan.timeout = config_.get_timeout / 2;
+  plan.demote_on_failure = true;
+  return plan;
+}
+
+StorageNode::ReadPlan StorageNode::HotPlan(const std::string& replica,
+                                           const std::string& primary) const {
+  // The payload comes from `replica`, but it is only served when its
+  // (_ts, _origin) equals what the primary reports via the digest probe —
+  // so the answer is the primary's version, indistinguishable from a
+  // primary plan, and the primary-anchored intersection carries over.
+  ReadPlan plan = PrimaryPlan(replica);
+  plan.verify_at = primary;
+  return plan;
+}
+
+void StorageNode::IssueGet(ShardState& ss, const std::string& key,
+                           GetCallback cb, Micros started_at, ReadPlan plan) {
+  if (plan.targets.empty()) {
     ++ss.stats.gets_failed;
     cb(Status::Unavailable("ring is empty"));
     return;
   }
   const std::uint64_t req = (ss.next_seq++ << kShardBits) |
                             static_cast<std::uint64_t>(ss.index);
-  PendingGet get;
+  PendingGet& get = ss.pending_gets[req];
   get.key = key;
   get.cb = std::move(cb);
   get.started_at = started_at;
-  get.fast_path = fast_path;
-  // Never degrade below R, even when the ring currently offers fewer
-  // preference nodes: a read that cannot gather R confirmations must fail
-  // rather than silently weaken the quorum. (The fast path's R of 1 is
-  // safe because its write quorums are primary-anchored.)
-  get.needed = fast_path ? 1 : config_.read_quorum;
-  get.targets = targets;
-  // Fast attempts keep half the budget so a demoted read can still finish
-  // a full quorum round inside the caller's patience window.
-  const Micros timeout =
-      fast_path ? config_.get_timeout / 2 : config_.get_timeout;
+  get.plan = std::move(plan);
   get.timeout_event = ss.executor->ScheduleTimer(
-      timeout, [this, &ss, req]() { OnGetTimeout(ss, req); });
-  ss.pending_gets.emplace(req, std::move(get));
+      get.plan.timeout, [this, &ss, req]() { OnGetTimeout(ss, req); });
 
   GetReplicaMsg msg;
   msg.req = req;
   msg.key = key;
   const bson::Document body = EncodeGetReplica(msg);
-  for (const std::string& target : targets) {
+  for (const std::string& target : get.plan.targets) {
     SendToNode(target, kMsgGetReplica, body);
   }
+  if (!get.plan.verify_at.empty()) {
+    msg.digest_only = true;
+    SendToNode(get.plan.verify_at, kMsgGetReplica, EncodeGetReplica(msg));
+  }
 }
 
-void StorageNode::StartHotGet(ShardState& ss, const std::string& key,
-                              GetCallback cb, Micros started_at,
-                              const std::string& replica,
-                              const std::string& primary) {
-  // Safety: the fanned read still serves *the primary's version*. The
-  // payload comes from `replica`, but it is only handed to the caller when
-  // its (_ts, _origin) exactly equals what the primary reports via the
-  // digest probe — so the answer is indistinguishable from a primary fast
-  // read and the PR 6 primary-anchored intersection argument carries over
-  // unchanged. Any mismatch, miss, error or timeout demotes to the
-  // R-quorum path via the fast-path machinery (fast_path is set for
-  // exactly that reason).
-  const std::uint64_t req = (ss.next_seq++ << kShardBits) |
-                            static_cast<std::uint64_t>(ss.index);
-  PendingGet get;
-  get.key = key;
-  get.cb = std::move(cb);
-  get.started_at = started_at;
-  get.fast_path = true;
-  get.hot_path = true;
-  get.hot_replica = replica;
-  get.needed = 1;
-  get.targets = {replica, primary};
-  get.timeout_event = ss.executor->ScheduleTimer(
-      config_.get_timeout / 2, [this, &ss, req]() { OnGetTimeout(ss, req); });
-  ss.pending_gets.emplace(req, std::move(get));
-
-  GetReplicaMsg payload;
-  payload.req = req;
-  payload.key = key;
-  SendToNode(replica, kMsgGetReplica, EncodeGetReplica(payload));
-  GetReplicaMsg probe;
-  probe.req = req;
-  probe.key = key;
-  probe.digest_only = true;
-  SendToNode(primary, kMsgGetReplica, EncodeGetReplica(probe));
+StorageNode::ReplyTally StorageNode::TallyReplies(
+    const std::map<std::string, GetReply>& replies) {
+  ReplyTally tally;
+  for (const auto& [from, reply] : replies) {
+    if (!reply.ok || reply.digest) continue;
+    ++tally.successes;
+    if (reply.found && (tally.winner == nullptr ||
+                        core::SupersedesLww(reply.record, *tally.winner))) {
+      tally.winner = &reply.record;
+    }
+  }
+  return tally;
 }
 
-void StorageNode::MaybeFinishHotGet(ShardState& ss, std::uint64_t req,
-                                    PendingGet* get) {
-  const GetReply* payload = nullptr;  // from the rotated replica
-  const GetReply* digest = nullptr;   // from the primary
-  auto payload_it = get->replies.find(get->hot_replica);
-  if (payload_it != get->replies.end()) payload = &payload_it->second;
-  auto digest_it = get->replies.find(get->targets.back());
-  if (digest_it != get->replies.end()) digest = &digest_it->second;
-  // Either half failing or missing its key demotes: a fanned read never
-  // concludes a miss on its own and never serves an unverified value.
-  if ((payload != nullptr && (!payload->ok || !payload->found)) ||
-      (digest != nullptr && (!digest->ok || !digest->found))) {
-    DemoteGet(ss, req, get);
+void StorageNode::DecideGet(ShardState& ss, std::uint64_t req, PendingGet* get,
+                            bool deadline) {
+  const ReadPlan& plan = get->plan;
+  const ReplyTally tally = TallyReplies(get->replies);
+  if (plan.demote_on_failure && !get->done) {
+    // A demotable plan never concludes anything but a verified hit. A
+    // one-replica miss is not authoritative (the replica may still be
+    // catching up from a crash), an error says nothing either way, and a
+    // timeout leaves the other half of the budget for a quorum round.
+    const bool refused =
+        std::any_of(get->replies.begin(), get->replies.end(),
+                    [](const auto& entry) {
+                      return !entry.second.ok || !entry.second.found;
+                    });
+    if (deadline || refused) {
+      DemoteGet(ss, req, get);
+      return;
+    }
+    if (tally.successes < plan.needed) return;  // payload still in flight
+    if (!plan.verify_at.empty()) {
+      auto digest = get->replies.find(plan.verify_at);
+      if (digest == get->replies.end()) return;  // probe still in flight
+      if (core::RecordTimestamp(*tally.winner) != digest->second.digest_ts ||
+          core::RecordOrigin(*tally.winner) != digest->second.digest_origin) {
+        // The replica lags (or leads) the primary — e.g. a read repair or
+        // anti-entropy push still in flight. Serving its copy could return
+        // a version the primary-anchored write quorum never confirmed.
+        DemoteGet(ss, req, get);
+        return;
+      }
+    }
+    ConcludeGet(ss, req, get, *tally.winner);
+    FinalizeGet(ss, req, get);
     return;
   }
-  if (payload == nullptr || digest == nullptr) return;  // wait for the other half
-  const bool version_matches =
-      core::RecordTimestamp(payload->record) == digest->digest_ts &&
-      core::RecordOrigin(payload->record) == digest->digest_origin;
-  if (!version_matches) {
-    // The replica lags (or leads) the primary — e.g. a read repair or
-    // anti-entropy push still in flight. Serving its copy could return a
-    // version the primary-anchored write quorum never confirmed; demote.
-    DemoteGet(ss, req, get);
-    return;
+  const bool all_answered = get->replies.size() == plan.targets.size();
+  if (!get->done) {
+    if (tally.winner != nullptr && tally.successes >= plan.needed) {
+      ConcludeGet(ss, req, get, *tally.winner);
+    } else if (all_answered || deadline) {
+      // "The Get operation gets all replications of the specified key": a
+      // miss is only authoritative once every replica has answered (or the
+      // deadline passed). Either way the answer needs R successful reads —
+      // a value or a miss confirmed by fewer replicas than the read quorum
+      // must not be served as authoritative, least of all during the
+      // partitions and slow links where a timeout fires.
+      ConcludeGet(ss, req, get,
+                  tally.successes >= plan.needed
+                      ? Status::NotFound("no replica has key " + get->key)
+                  : deadline
+                      ? Status::Timeout("read quorum not reached for key " +
+                                        get->key)
+                      : Status::Unavailable("read quorum unreachable for " +
+                                            get->key));
+    }
   }
+  if (all_answered || deadline) FinalizeGet(ss, req, get);
+}
+
+void StorageNode::ConcludeGet(ShardState& ss, std::uint64_t req,
+                              PendingGet* get, Result<bson::Document> result) {
   get->done = true;
-  ++ss.stats.gets_succeeded;
-  ++ss.stats.fast_read_hits;
-  ++ss.stats.hot_read_hits;
-  RecordGetOutcome(ss, *get, req, /*ok=*/true);
-  get->cb(payload->record);
-  FinalizeGet(ss, req, get);
+  if (result.ok()) {
+    ++ss.stats.gets_succeeded;
+    if (get->plan.demote_on_failure) ++ss.stats.fast_read_hits;
+    if (!get->plan.verify_at.empty()) ++ss.stats.hot_read_hits;
+  } else {
+    ++ss.stats.gets_failed;
+  }
+  RecordGetOutcome(ss, *get, req, result.ok());
+  get->cb(result);
 }
 
 void StorageNode::DemoteGet(ShardState& ss, std::uint64_t req,
                             PendingGet* get) {
   ++ss.stats.fast_read_demotions;
-  if (get->hot_path) ++ss.stats.hot_read_demotions;
+  if (!get->plan.verify_at.empty()) ++ss.stats.hot_read_demotions;
   ss.executor->CancelTimer(get->timeout_event);
   const std::string key = get->key;
   GetCallback cb = std::move(get->cb);
   const Micros started_at = get->started_at;
   ss.pending_gets.erase(req);
-  StartGet(ss, key, std::move(cb), started_at, /*fast_path=*/false);
+  IssueGet(ss, key, std::move(cb), started_at, QuorumPlan(ss, key));
 }
 
 void StorageNode::HandleCorruptGetAck(ShardState& ss, const std::string& from) {
@@ -1025,23 +1035,17 @@ void StorageNode::HandleCorruptGetAck(ShardState& ss, const std::string& from) {
   std::vector<std::uint64_t> affected;
   for (const auto& [req, get] : ss.pending_gets) {
     if (get.replies.count(from) > 0) continue;
-    if (std::find(get.targets.begin(), get.targets.end(), from) !=
-        get.targets.end()) {
+    if (from == get.plan.verify_at ||
+        std::find(get.plan.targets.begin(), get.plan.targets.end(), from) !=
+            get.plan.targets.end()) {
       affected.push_back(req);
     }
   }
   for (std::uint64_t req : affected) {
     auto it = ss.pending_gets.find(req);
     if (it == ss.pending_gets.end()) continue;  // concluded by a prior turn
-    PendingGet& get = it->second;
-    if (get.fast_path && !get.done) {
-      DemoteGet(ss, req, &get);
-      continue;
-    }
-    GetReply failed;
-    failed.ok = false;
-    get.replies.emplace(from, std::move(failed));
-    MaybeFinishGet(ss, req, &get);
+    it->second.replies.emplace(from, GetReply{});  // ok = false
+    DecideGet(ss, req, &it->second, /*deadline=*/false);
   }
 }
 
@@ -1067,72 +1071,8 @@ void StorageNode::HandleGetAck(ShardState& ss, const std::string& from,
   reply.digest = ack.digest;
   reply.digest_ts = ack.digest_ts;
   reply.digest_origin = std::move(ack.digest_origin);
-  if (get.hot_path) {
-    // The hot fan-out has its own conclusion logic (payload + digest must
-    // agree); the single-replica retry rule below does not apply.
-    get.replies.emplace(from, std::move(reply));
-    if (!get.done) MaybeFinishHotGet(ss, ack.req, &get);
-    return;
-  }
-  const bool fast_retry = get.fast_path && (!reply.ok || !reply.found);
   get.replies.emplace(from, std::move(reply));
-  if (fast_retry && !get.done) {
-    // The single-replica attempt could not answer. A one-replica miss is
-    // never authoritative (the primary may still be catching up from a
-    // crash) and an error says nothing either way — re-run as a quorum
-    // read before concluding anything.
-    DemoteGet(ss, ack.req, &get);
-    return;
-  }
-  MaybeFinishGet(ss, ack.req, &get);
-}
-
-void StorageNode::MaybeFinishGet(ShardState& ss, std::uint64_t req,
-                                 PendingGet* get) {
-  int successes = 0;
-  const bson::Document* winner = nullptr;
-  for (const auto& [from, reply] : get->replies) {
-    if (!reply.ok) continue;
-    ++successes;
-    if (reply.found &&
-        (winner == nullptr || core::SupersedesLww(reply.record, *winner))) {
-      winner = &reply.record;
-    }
-  }
-  const bool all_responded = get->replies.size() == get->targets.size();
-  if (!get->done) {
-    if (winner != nullptr && successes >= get->needed) {
-      // A found record plus R successful reads (R = 1 on the fast path).
-      get->done = true;
-      ++ss.stats.gets_succeeded;
-      if (get->fast_path) ++ss.stats.fast_read_hits;
-      RecordGetOutcome(ss, *get, req, /*ok=*/true);
-      get->cb(*winner);
-    } else if (all_responded) {
-      // "The Get operation gets all replications of the specified key":
-      // a miss is only authoritative once every replica has answered.
-      // Either way the answer needs R successful reads — a value (or a
-      // miss) confirmed by fewer replicas than the read quorum must not
-      // be served as authoritative.
-      get->done = true;
-      if (successes >= get->needed) {
-        if (winner != nullptr) {
-          ++ss.stats.gets_succeeded;
-          RecordGetOutcome(ss, *get, req, /*ok=*/true);
-          get->cb(*winner);
-        } else {
-          ++ss.stats.gets_failed;
-          RecordGetOutcome(ss, *get, req, /*ok=*/false);
-          get->cb(Status::NotFound("no replica has key " + get->key));
-        }
-      } else {
-        ++ss.stats.gets_failed;
-        RecordGetOutcome(ss, *get, req, /*ok=*/false);
-        get->cb(Status::Unavailable("read quorum unreachable for " + get->key));
-      }
-    }
-  }
-  if (all_responded) FinalizeGet(ss, req, get);
+  DecideGet(ss, ack.req, &get, /*deadline=*/false);
 }
 
 void StorageNode::FinalizeGet(ShardState& ss, std::uint64_t req,
@@ -1140,43 +1080,39 @@ void StorageNode::FinalizeGet(ShardState& ss, std::uint64_t req,
   // Read repair (§5.2.2): "the Get operation gets all replications of the
   // specified key, and checks the number of replication. If replications
   // are less than N ... some more replications are supplemented."
-  // The fast path contacted a single replica, so there is no second reply
-  // to compare against — repair stays a quorum-path concern (dirty keys and
-  // demoted reads keep taking that path, so divergent keys still heal).
-  if (config_.read_repair && !get->fast_path) {
-    const bson::Document* winner = nullptr;
-    for (const auto& [from, reply] : get->replies) {
-      if (!reply.ok || !reply.found) continue;
-      if (winner == nullptr || core::SupersedesLww(reply.record, *winner)) {
-        winner = &reply.record;
-      }
-    }
-    if (winner != nullptr) {
-      for (const std::string& target : get->targets) {
-        auto reply_it = get->replies.find(target);
-        const bool needs_repair =
-            reply_it == get->replies.end() || !reply_it->second.ok ||
-            !reply_it->second.found ||
-            core::SupersedesLww(*winner, reply_it->second.record);
-        if (!needs_repair) continue;
-        if (LivenessOf(ss, target) == gossip::Liveness::kDead) {
-          // A dead node cannot take the repair; the message would sit in
-          // the transport's bounded outbound queue until dropped. Park it
-          // as a hint instead (when handoff is on) so the write-back timer
-          // delivers it once the node returns.
-          ++ss.stats.read_repairs_skipped_dead;
-          if (config_.hinted_handoff) {
-            ss.hints->Add(target, core::AsReplicaCopy(*winner),
-                          transport_->NowMicros());
-          }
-          continue;
+  // A demotable plan contacted a single payload replica, so there is no
+  // second reply to compare against — repair stays a quorum-plan concern
+  // (dirty keys and demoted reads keep taking that plan, so divergent keys
+  // still heal).
+  const bson::Document* winner =
+      config_.read_repair && !get->plan.demote_on_failure
+          ? TallyReplies(get->replies).winner
+          : nullptr;
+  if (winner != nullptr) {
+    for (const std::string& target : get->plan.targets) {
+      auto reply_it = get->replies.find(target);
+      const bool needs_repair =
+          reply_it == get->replies.end() || !reply_it->second.ok ||
+          !reply_it->second.found ||
+          core::SupersedesLww(*winner, reply_it->second.record);
+      if (!needs_repair) continue;
+      if (LivenessOf(ss, target) == gossip::Liveness::kDead) {
+        // A dead node cannot take the repair; the message would sit in
+        // the transport's bounded outbound queue until dropped. Park it
+        // as a hint instead (when handoff is on) so the write-back timer
+        // delivers it once the node returns.
+        ++ss.stats.read_repairs_skipped_dead;
+        if (config_.hinted_handoff) {
+          ss.hints->Add(target, core::AsReplicaCopy(*winner),
+                        transport_->NowMicros());
         }
-        PutReplicaMsg repair;
-        repair.req = 0;  // fire-and-forget
-        repair.record = core::AsReplicaCopy(*winner);
-        SendToNode(target, kMsgPutReplica, EncodePutReplica(repair));
-        ++ss.stats.read_repairs;
+        continue;
       }
+      PutReplicaMsg repair;
+      repair.req = 0;  // fire-and-forget
+      repair.record = core::AsReplicaCopy(*winner);
+      SendToNode(target, kMsgPutReplica, EncodePutReplica(repair));
+      ++ss.stats.read_repairs;
     }
   }
   ss.executor->CancelTimer(get->timeout_event);
@@ -1186,51 +1122,13 @@ void StorageNode::FinalizeGet(ShardState& ss, std::uint64_t req,
 void StorageNode::OnGetTimeout(ShardState& ss, std::uint64_t req) {
   auto it = ss.pending_gets.find(req);
   if (it == ss.pending_gets.end()) return;
-  PendingGet& get = it->second;
-  if (get.fast_path && !get.done) {
-    // The single-replica attempt ran out of its half of the budget; spend
-    // the remainder on a full quorum round.
-    DemoteGet(ss, req, &get);
-    return;
-  }
-  if (!get.done) {
-    get.done = true;
-    // Best effort with whatever arrived before the deadline — but never
-    // with fewer than R successful reads: serving a value one straggling
-    // replica returned would bypass the quorum intersection exactly when
-    // it matters most (partitions and slow links). A read that cannot
-    // reach R confirmations fails and lets the client retry elsewhere.
-    int successes = 0;
-    const bson::Document* winner = nullptr;
-    for (const auto& [from, reply] : get.replies) {
-      if (!reply.ok) continue;
-      ++successes;
-      if (reply.found &&
-          (winner == nullptr || core::SupersedesLww(reply.record, *winner))) {
-        winner = &reply.record;
-      }
-    }
-    if (winner != nullptr && successes >= get.needed) {
-      ++ss.stats.gets_succeeded;
-      RecordGetOutcome(ss, get, req, /*ok=*/true);
-      get.cb(*winner);
-    } else if (successes >= get.needed) {
-      ++ss.stats.gets_failed;
-      RecordGetOutcome(ss, get, req, /*ok=*/false);
-      get.cb(Status::NotFound("no replica has key " + get.key));
-    } else {
-      ++ss.stats.gets_failed;
-      RecordGetOutcome(ss, get, req, /*ok=*/false);
-      get.cb(Status::Timeout("read quorum not reached for key " + get.key));
-    }
-  }
-  FinalizeGet(ss, req, &get);
+  DecideGet(ss, req, &it->second, /*deadline=*/true);
 }
 
 // --- dirty-set bookkeeping (fast consistent reads) --------------------------
 
 void StorageNode::MarkKeyDirty(ShardState& ss, const std::string& key) {
-  if (!config_.fast_reads) return;
+  if (config_.read_path == ReadPath::kQuorum) return;
   DirtyEntry& entry = ss.dirty_keys[key];
   ++entry.inflight;
   entry.last_write = transport_->NowMicros();
@@ -1243,7 +1141,7 @@ void StorageNode::MarkKeyDirty(ShardState& ss, const std::string& key) {
     for (auto it = ss.dirty_keys.begin(); it != ss.dirty_keys.end();) {
       const DirtyEntry& aged = it->second;
       if (aged.inflight == 0 &&
-          now - aged.last_write >= config_.fast_read_quiescence) {
+          now - aged.last_write >= kFastReadQuiescence) {
         it = ss.dirty_keys.erase(it);
       } else {
         ++it;
@@ -1273,7 +1171,7 @@ bool StorageNode::KeyIsCleanOnShard(ShardState& ss, const std::string& key) {
   const DirtyEntry& entry = it->second;
   if (entry.inflight > 0) return false;
   if (transport_->NowMicros() - entry.last_write <
-      config_.fast_read_quiescence) {
+      kFastReadQuiescence) {
     return false;
   }
   // Aged out: the quiescence window lapsed with nothing in flight, giving
@@ -1330,7 +1228,8 @@ void StorageNode::RecordGetOutcome(ShardState& ss, const PendingGet& get,
   // Demoted reads record on the quorum histogram under their *original*
   // start time: the fast detour they took is part of the latency the
   // caller observed, not a separate measurement.
-  (get.fast_path ? ss.fast_get_latency_hist : ss.quorum_get_latency_hist)
+  (get.plan.demote_on_failure ? ss.fast_get_latency_hist
+                               : ss.quorum_get_latency_hist)
       .Record(total);
   metrics::TraceRecord trace;
   trace.req = req;
@@ -1430,7 +1329,7 @@ std::vector<metrics::TraceRecord> StorageNode::TraceSnapshot() const {
 
 void StorageNode::StartHintTimer(ShardState& ss) {
   ss.hint_timer = ss.executor->ScheduleTimer(
-      config_.hint_retry_interval, [this, &ss]() {
+      kHintRetryInterval, [this, &ss]() {
         if (!running_) return;
         DeliverHints(ss);
         StartHintTimer(ss);

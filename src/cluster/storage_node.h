@@ -300,6 +300,9 @@ class StorageNode {
     int timeout_wave = 0;
     bool primary_ok = false;  ///< the primary holder acked the write
     std::map<std::string, bool> responded;  // target -> answered?
+    /// Handoff substitute -> the preference holder whose write it keeps, so
+    /// a failed substitute's replacement hint still names that holder.
+    std::map<std::string, std::string> stands_in_for;
     std::set<std::string> used;             // every node contacted
     std::vector<std::string> pref_targets;  // original preference holders
     std::set<std::string> ok_acks;          // preference holders that acked ok
@@ -323,15 +326,32 @@ class StorageNode {
     std::string digest_origin;
   };
 
+  /// Everything that distinguishes one kind of read from another. One
+  /// executor (IssueGet + DecideGet) runs every plan; the builders below
+  /// are the only place the kinds differ.
+  struct ReadPlan {
+    std::vector<std::string> targets;  ///< payload reads, in send order
+    int needed = 0;         ///< successful payload replies that decide it
+    std::string verify_at;  ///< digest-only probe target, or empty
+    Micros timeout = 0;
+    /// Any miss, error, corrupt ack, version mismatch or timeout re-runs
+    /// the read as a quorum plan instead of concluding.
+    bool demote_on_failure = false;
+  };
+
+  /// Last-write-wins over a read's payload replies (digest probes carry
+  /// no record and are left out).
+  struct ReplyTally {
+    int successes = 0;                       ///< ok payload replies
+    const bson::Document* winner = nullptr;  ///< newest found record
+  };
+  static ReplyTally TallyReplies(const std::map<std::string, GetReply>& replies);
+
   struct PendingGet {
     std::string key;
     GetCallback cb;
     bool done = false;
-    bool fast_path = false;  ///< single-replica attempt; failures demote
-    bool hot_path = false;   ///< hot fan-out: replica payload + primary digest
-    std::string hot_replica; ///< the rotated replica serving the payload
-    int needed = 0;
-    std::vector<std::string> targets;
+    ReadPlan plan;
     std::map<std::string, GetReply> replies;
     net::TimerId timeout_event = 0;
     Micros started_at = 0;
@@ -436,32 +456,41 @@ class StorageNode {
   // Put state machine (all on the key's shard).
   void StartPut(ShardState& ss, bson::Document record,
                 PutCallback cb) HOTMAN_SHARD_AFFINE;
+  /// Sends `put`'s write to `targets`: the original record to the primary,
+  /// one shared encoded copy to the other holders, and a hint naming the
+  /// covered holder to each handoff substitute.
+  void SendPutReplicas(std::uint64_t req, const PendingPut& put,
+                       const std::vector<std::string>& targets)
+      HOTMAN_SHARD_AFFINE;
   void TryHandoff(ShardState& ss, std::uint64_t req, PendingPut* put,
                   const std::string& failed) HOTMAN_SHARD_AFFINE;
   void OnPutTimeout(ShardState& ss, std::uint64_t req) HOTMAN_SHARD_AFFINE;
   void OnPutCleanup(ShardState& ss, std::uint64_t req) HOTMAN_SHARD_AFFINE;
   void MaybeFinishPut(ShardState& ss, std::uint64_t req,
                       PendingPut* put) HOTMAN_SHARD_AFFINE;
+  /// Fails `put` if still undecided, then cancels its timers, retires its
+  /// dirty entry and drops it.
+  void RetirePut(ShardState& ss, std::uint64_t req,
+                 PendingPut* put) HOTMAN_SHARD_AFFINE;
 
-  // Get state machine. CoordinateGet picks the path; StartGet issues the
-  // actual fan-out (single primary read or R-quorum spread); DemoteGet
-  // re-runs a failed fast attempt through the quorum path.
-  void StartGet(ShardState& ss, const std::string& key, GetCallback cb,
-                Micros started_at, bool fast_path) HOTMAN_SHARD_AFFINE;
-  /// Hot-key fan-out: payload read at `replica` (a rotated non-primary
-  /// holder) plus a digest_only version probe at the primary. The value is
-  /// served only when the replica's version equals the primary's digest;
-  /// any other outcome demotes to the quorum path.
-  void StartHotGet(ShardState& ss, const std::string& key, GetCallback cb,
-                   Micros started_at, const std::string& replica,
-                   const std::string& primary) HOTMAN_SHARD_AFFINE;
-  void MaybeFinishHotGet(ShardState& ss, std::uint64_t req,
-                         PendingGet* get) HOTMAN_SHARD_AFFINE;
+  // Get executor. CoordinateGet picks a plan; IssueGet sends it; every
+  // reply, corrupt ack and timeout feeds DecideGet, which serves, fails,
+  // waits or demotes (re-issues a failed demotable plan as a quorum plan).
+  ReadPlan QuorumPlan(const ShardState& ss,
+                      const std::string& key) const HOTMAN_SHARD_AFFINE;
+  ReadPlan PrimaryPlan(const std::string& primary) const;
+  ReadPlan HotPlan(const std::string& replica,
+                   const std::string& primary) const;
+  void IssueGet(ShardState& ss, const std::string& key, GetCallback cb,
+                Micros started_at, ReadPlan plan) HOTMAN_SHARD_AFFINE;
+  void DecideGet(ShardState& ss, std::uint64_t req, PendingGet* get,
+                 bool deadline) HOTMAN_SHARD_AFFINE;
+  /// Flips `done`, counts the outcome and answers the caller.
+  void ConcludeGet(ShardState& ss, std::uint64_t req, PendingGet* get,
+                   Result<bson::Document> result) HOTMAN_SHARD_AFFINE;
   void DemoteGet(ShardState& ss, std::uint64_t req,
                  PendingGet* get) HOTMAN_SHARD_AFFINE;
   void OnGetTimeout(ShardState& ss, std::uint64_t req) HOTMAN_SHARD_AFFINE;
-  void MaybeFinishGet(ShardState& ss, std::uint64_t req,
-                      PendingGet* get) HOTMAN_SHARD_AFFINE;
   void FinalizeGet(ShardState& ss, std::uint64_t req,
                    PendingGet* get) HOTMAN_SHARD_AFFINE;
 
@@ -472,10 +501,10 @@ class StorageNode {
                       bool settled_all_n) HOTMAN_SHARD_AFFINE;
   bool KeyIsCleanOnShard(ShardState& ss,
                          const std::string& key) HOTMAN_SHARD_AFFINE;
-  /// Whether writes must be primary-anchored for fast reads to stay
-  /// consistent (strict mode; sloppy handoff already trades staleness).
+  /// Whether writes must be primary-anchored for single-replica plans to
+  /// stay consistent (strict mode; sloppy handoff already trades staleness).
   bool RequirePrimaryAck() const {
-    return config_.fast_reads && !config_.hinted_handoff;
+    return config_.read_path != ReadPath::kQuorum && !config_.hinted_handoff;
   }
 
   // Observability: latency histogram sample + trace record for a decided

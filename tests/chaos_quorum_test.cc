@@ -33,14 +33,14 @@ TEST(ChaosQuorum, Sweep50SeedsCheckerClean) {
       << "reproduce with: chaos_runner --seed=N --profile=quorum";
 }
 
-// The fast_reads=off sweep above is the control for this one: same seeds,
-// same profile, dirty-set single-replica reads switched on. Any phantom or
+// The quorum-plan sweep above is the control for this one: same seeds,
+// same profile, dirty-set single-replica (primary-plan) reads switched on. Any phantom or
 // stale read the fast path could introduce trips the same checker rules.
 TEST(ChaosQuorum, Sweep50SeedsCheckerCleanWithFastReads) {
   std::vector<std::uint64_t> failing;
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     ChaosOptions options = ChaosOptions::QuorumProfile(seed);
-    options.fast_reads = true;
+    options.read_path = cluster::ReadPath::kPrimary;
     const ChaosResult result = RunChaos(options);
     EXPECT_TRUE(result.drained) << "seed " << seed << " did not drain";
     if (!result.ok()) {
@@ -49,7 +49,7 @@ TEST(ChaosQuorum, Sweep50SeedsCheckerCleanWithFastReads) {
     }
   }
   EXPECT_TRUE(failing.empty())
-      << "reproduce with: chaos_runner --seed=N --fast-reads";
+      << "reproduce with: chaos_runner --seed=N --read-path=primary";
 }
 
 TEST(ChaosQuorum, SameSeedSameHistory) {

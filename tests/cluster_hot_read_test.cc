@@ -23,8 +23,7 @@ ClusterConfig HotConfig() {
   config.write_quorum = 2;
   config.read_quorum = 2;  // R+W > N, strict mode: fast path engages
   config.hinted_handoff = false;
-  config.fast_reads = true;
-  config.hot_reads = true;
+  config.read_path = ReadPath::kHotRotation;
   // Test-scale thresholds: a key read a few dozen times at ~200 ops/s of
   // virtual time is comfortably hot.
   config.heat.hot_qps = 5.0;

@@ -6,6 +6,7 @@
 //   chaos_runner --seed=42 --verify        # run twice, compare history hashes
 //   chaos_runner --seeds=1-50              # sweep; prints failing seeds
 //   chaos_runner --seeds=1-200 --profile=convergence --quiet
+//   chaos_runner --seeds=1-50 --read-path=primary   # single-replica reads
 //
 // Exit code 0 when every run is checker-clean (and, with --verify,
 // deterministic); 1 otherwise. The failing seeds line is machine-parsable
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,7 @@ using hotman::chaos::ChaosOptions;
 using hotman::chaos::ChaosResult;
 using hotman::chaos::RunChaos;
 using hotman::chaos::Violation;
+using hotman::cluster::ReadPath;
 
 struct Args {
   std::uint64_t seed_lo = 1;
@@ -35,8 +38,7 @@ struct Args {
   bool quiet = false;
   bool show_history = false;
   bool show_nemesis = false;
-  bool fast_reads = false;
-  bool hot_reads = false;     // arm the hot-key read rotation
+  std::optional<ReadPath> read_path;  // unset keeps the profile's plan
   double zipf_theta = -1.0;   // <0 keeps the profile's own skew setting
   int shards = 1;             // shards per node (deterministic multi-shard)
   std::string lying_replica;  // negative-control passthrough
@@ -47,7 +49,7 @@ void Usage() {
                "usage: chaos_runner [--seed=N | --seeds=LO-HI]\n"
                "                    [--profile=quorum|convergence|membership"
                "|skew]\n"
-               "                    [--fast-reads] [--hot-reads]\n"
+               "                    [--read-path=quorum|primary|hot]\n"
                "                    [--zipf-theta=T] [--shards=N]\n"
                "                    [--verify] [--quiet] [--history]\n"
                "                    [--nemesis-log] [--lying-replica=ADDR]\n");
@@ -76,10 +78,18 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->shards = std::atoi(shards);
     } else if (const char* theta = value("--zipf-theta=")) {
       args->zipf_theta = std::atof(theta);
-    } else if (arg == "--fast-reads") {
-      args->fast_reads = true;
-    } else if (arg == "--hot-reads") {
-      args->hot_reads = true;
+    } else if (const char* path = value("--read-path=")) {
+      const std::string plan = path;
+      if (plan == "quorum") {
+        args->read_path = ReadPath::kQuorum;
+      } else if (plan == "primary") {
+        args->read_path = ReadPath::kPrimary;
+      } else if (plan == "hot") {
+        args->read_path = ReadPath::kHotRotation;
+      } else {
+        Usage();
+        return false;
+      }
     } else if (arg == "--verify") {
       args->verify = true;
     } else if (arg == "--quiet") {
@@ -111,11 +121,8 @@ ChaosOptions OptionsFor(const Args& args, std::uint64_t seed) {
                              ? ChaosOptions::SkewProfile(seed)
                              : ChaosOptions::ConvergenceProfile(seed);
   options.lying_replica = args.lying_replica;
-  // Flags extend profiles, never shrink them: skew keeps its baked-in fast
-  // and hot reads regardless of the flags.
-  options.fast_reads = options.fast_reads || args.fast_reads;
-  options.hot_reads = options.hot_reads || args.hot_reads;
-  if (args.hot_reads && args.profile != "skew") {
+  if (args.read_path.has_value()) options.read_path = *args.read_path;
+  if (args.read_path == ReadPath::kHotRotation && args.profile != "skew") {
     // Same test-scale heat thresholds SkewProfile uses; the production
     // defaults never fire at chaos traffic rates.
     options.heat.hot_qps = 1.0;
