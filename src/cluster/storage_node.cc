@@ -647,6 +647,17 @@ void StorageNode::SendPutReplicas(std::uint64_t req, const PendingPut& put,
   // EncodePutReplica per holder.
   std::optional<bson::Document> copy_body;
   for (const std::string& target : targets) {
+    auto covered = put.stands_in_for.find(target);
+    if (covered != put.stands_in_for.end()) {
+      // A handoff substitute keeps the write as a hint for the holder it
+      // covers; a plain copy would leave it an untracked foreign replica.
+      HintStoreMsg hint;
+      hint.req = req;
+      hint.target = covered->second;
+      hint.record = core::AsReplicaCopy(put.record);
+      SendToNode(target, kMsgHintStore, EncodeHintStore(hint));
+      continue;
+    }
     PutReplicaMsg msg;
     msg.req = req;
     if (target == put.primary) {
@@ -698,6 +709,11 @@ void StorageNode::HandlePutAck(ShardState& ss, const std::string& from,
 void StorageNode::TryHandoff(ShardState& ss, std::uint64_t req, PendingPut* put,
                              const std::string& failed) {
   if (!config_.hinted_handoff) return;
+  // When a substitute itself fails, its replacement still covers the
+  // preference holder the write was meant for, not the substitute.
+  auto covered = put->stands_in_for.find(failed);
+  const std::string holder =
+      covered == put->stands_in_for.end() ? failed : covered->second;
   const std::size_t want =
       config_.replication_factor + kHandoffCandidateSlack + put->used.size();
   std::vector<std::string> candidates = RingOf(ss).PreferenceList(put->key, want);
@@ -705,11 +721,8 @@ void StorageNode::TryHandoff(ShardState& ss, std::uint64_t req, PendingPut* put,
     if (put->used.count(candidate) > 0) continue;
     put->used.insert(candidate);
     put->responded.emplace(candidate, false);
-    HintStoreMsg msg;
-    msg.req = req;
-    msg.target = failed;
-    msg.record = core::AsReplicaCopy(put->record);
-    SendToNode(candidate, kMsgHintStore, EncodeHintStore(msg));
+    put->stands_in_for.emplace(candidate, holder);
+    SendPutReplicas(req, *put, {candidate});
     return;
   }
 }

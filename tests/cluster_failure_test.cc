@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "core/record.h"
@@ -202,6 +204,46 @@ TEST_F(ClusterFailureTest, PrimaryRetryKeepsOriginalRecord) {
   ASSERT_TRUE(record.ok()) << "wave-1 resend never reached the primary";
   EXPECT_FALSE(core::RecordIsCopy(*record))
       << "primary resend must carry the original record (isData=1)";
+}
+
+TEST(HandoffChainTest, ReplacementHintTargetsTheOriginalHolder) {
+  // Regression: when a handoff substitute nacked, its replacement's hint
+  // named the *substitute* as its delivery target instead of the
+  // preference holder the write was meant for, so the write-back went to
+  // a node that never owned the key.
+  Cluster cluster(ClusterConfig::Uniform(6, /*seeds=*/1), 21);
+  ASSERT_TRUE(cluster.Start().ok());
+  // db1 is the only seed, so once it dies nobody announces its removal:
+  // every survivor keeps it on the ring but knows it is dead.
+  const std::string primary = "db1:19870";
+  std::string key;
+  std::vector<std::string> order;
+  for (int i = 0;; ++i) {
+    key = "chain" + std::to_string(i);
+    order = cluster.node("db2:19870")->ring().PreferenceList(key, 6);
+    if (order.size() == 6 && order[0] == primary) break;
+  }
+  // order = {primary, holder, holder, substitute 1, substitute 2, other}.
+  StorageNode* coordinator = cluster.node(order[5]);
+  StorageNode* first_substitute = cluster.node(order[3]);
+  StorageNode* second_substitute = cluster.node(order[4]);
+  ASSERT_TRUE(cluster.CrashNode(primary).ok());
+  cluster.RunFor(30 * kMicrosPerSecond);
+  ASSERT_EQ(coordinator->detector()->StatusOf(primary),
+            gossip::Liveness::kDead);
+  ASSERT_TRUE(coordinator->ring().HasNode(primary));
+
+  // The write skips the known-dead primary and offers its hint to the
+  // first substitute, which nacks; the second substitute takes over.
+  first_substitute->server()->SetFault(docstore::FaultMode::kDiskError);
+  Status put = Status::Timeout("never finished");
+  coordinator->CoordinatePut(key, ToBytes("v"),
+                             [&put](const Status& s) { put = s; });
+  cluster.RunFor(200 * kMicrosPerMilli);
+  ASSERT_TRUE(put.ok()) << put.ToString();
+  EXPECT_TRUE(first_substitute->hints()->Targets().empty());
+  EXPECT_EQ(second_substitute->hints()->Targets(),
+            std::vector<std::string>{primary});
 }
 
 TEST_F(ClusterFailureTest, StopFailsPendingOperationsOnce) {
