@@ -1,4 +1,4 @@
-// Dirty-set fast read path (ISSUE 6): lifecycle of the per-key dirty
+// Dirty-set single-replica read plans: lifecycle of the per-key dirty
 // entries, the single-replica hit path, and every documented fallback /
 // demotion edge. All clusters here run in strict mode (R+W>N, hinted
 // handoff off) — the only mode where the fast path engages, because
@@ -6,6 +6,9 @@
 // every completed write quorum (see DESIGN.md).
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
 
 #include "cluster/cluster.h"
 
@@ -161,27 +164,6 @@ TEST(FastReadTest, ConcurrentWriteForcesQuorumRead) {
   EXPECT_GT(after.fast_read_fallbacks, before.fast_read_fallbacks);
 }
 
-TEST(FastReadTest, SingleReplicaMissDemotesToQuorum) {
-  // A one-replica miss is never authoritative: reading a key that does not
-  // exist anywhere must demote to the quorum path and only then conclude
-  // NotFound.
-  Cluster cluster(StrictFastConfig(), 11);
-  ASSERT_TRUE(cluster.Start().ok());
-  StorageNode* coordinator = cluster.node("db1:19870");
-  ASSERT_NE(coordinator, nullptr);
-
-  Result<bson::Document> read = Status::Unavailable("not yet");
-  coordinator->CoordinateGet(
-      "ghost", [&read](const Result<bson::Document>& value) { read = value; });
-  cluster.RunFor(3 * kMicrosPerSecond);
-  ASSERT_FALSE(read.ok());
-  EXPECT_TRUE(read.status().IsNotFound()) << read.status().ToString();
-
-  const auto stats = cluster.AggregateStats();
-  EXPECT_EQ(stats.fast_read_hits, 0u);
-  EXPECT_EQ(stats.fast_read_demotions, 1u);
-}
-
 TEST(FastReadTest, SuspectedPrimaryFallsBackAtIssueTime) {
   ClusterConfig config = StrictFastConfig();
   config.detector.dead_after = 3600 * kMicrosPerSecond;  // freeze membership
@@ -229,6 +211,106 @@ TEST(FastReadTest, FastReadsStayOffInSloppyMode) {
   EXPECT_EQ(stats.fast_read_hits, 0u);
   EXPECT_GT(stats.fast_read_fallbacks, 0u);
 }
+
+// Every fault edge of the two demotable read plans. Whatever goes wrong at
+// the primary after a primary-plan read (or a hot-plan read's digest probe)
+// was issued, the read must re-run as a quorum plan and return the quorum's
+// answer — here the value the two healthy holders still have.
+enum class Plan { kPrimary, kHot };
+enum class Fault { kMiss, kErrorAck, kCorruptAck, kTimeout };
+
+class ReadPlanDemotionTest
+    : public ::testing::TestWithParam<std::tuple<Plan, Fault>> {};
+
+TEST_P(ReadPlanDemotionTest, DemotesToQuorumAndReturnsItsAnswer) {
+  const auto [plan, fault] = GetParam();
+  ClusterConfig config = StrictFastConfig();
+  config.detector.dead_after = 3600 * kMicrosPerSecond;  // freeze membership
+  if (plan == Plan::kHot) {
+    config.read_path = ReadPath::kHotRotation;
+    config.heat.hot_qps = 5.0;
+    config.heat.min_hits = 8.0;
+  }
+  Cluster cluster(std::move(config), 11);
+  ASSERT_TRUE(cluster.Start().ok());
+  StorageNode* coordinator = cluster.node("db1:19870");
+  ASSERT_NE(coordinator, nullptr);
+  const std::string key = KeyNotHeldBy(coordinator, "db1:19870");
+  const std::string primary = coordinator->ring().PreferenceList(key, 3)[0];
+  ASSERT_TRUE(cluster.PutSync(key, ToBytes("v")).ok());
+  cluster.RunFor(kFastReadQuiescence + kMicrosPerSecond);
+  ASSERT_TRUE(coordinator->KeyIsClean(key));
+
+  int reads_ok = 0;
+  auto read = [&] {
+    coordinator->CoordinateGet(key, [&](const Result<bson::Document>& value) {
+      if (value.ok() && ToString(core::RecordValue(*value)) == "v") ++reads_ok;
+    });
+  };
+  if (plan == Plan::kHot) {
+    // Heat the key, then stop right after a rotation turn that stayed on
+    // the primary (every third ticket), so the next read fans out.
+    for (int i = 0; i < 200; ++i) {
+      const std::size_t fanned = cluster.AggregateStats().hot_gets_fanned;
+      read();
+      cluster.RunFor(5 * kMicrosPerMilli);
+      if (i >= 40 && cluster.AggregateStats().hot_gets_fanned == fanned) break;
+    }
+    ASSERT_GT(cluster.AggregateStats().hot_gets_fanned, 0u);
+  }
+
+  StorageNode* primary_node = cluster.node(primary);
+  switch (fault) {
+    case Fault::kMiss:  // the primary lost its copy
+      ASSERT_TRUE(primary_node->StoreForKey(key)->Purge(key).ok());  // NOLINT(hotman-shard-affinity) single-threaded sim; deliberate out-of-band divergence
+      break;
+    case Fault::kErrorAck:
+      primary_node->server()->SetFault(docstore::FaultMode::kDiskError);
+      break;
+    case Fault::kCorruptAck:  // silent, then an undecodable ack
+    case Fault::kTimeout:     // silent until the plan's deadline
+      cluster.network()->Disconnect(primary);
+      break;
+  }
+  const auto before = cluster.AggregateStats();
+  reads_ok = 0;
+  read();
+  if (fault == Fault::kCorruptAck) {
+    cluster.RunFor(20 * kMicrosPerMilli);
+    net::Message corrupt;
+    corrupt.from = primary;
+    corrupt.to = coordinator->id();
+    corrupt.type = kMsgGetAck;
+    corrupt.body = bson::Document();
+    ASSERT_TRUE(coordinator->dispatcher()->Dispatch(corrupt));
+  }
+  cluster.RunFor(2 * kMicrosPerSecond);
+
+  EXPECT_EQ(reads_ok, 1);
+  const auto after = cluster.AggregateStats();
+  const std::size_t hot = plan == Plan::kHot ? 1 : 0;
+  EXPECT_EQ(after.hot_gets_fanned, before.hot_gets_fanned + hot);
+  EXPECT_EQ(after.fast_read_demotions, before.fast_read_demotions + 1);
+  EXPECT_EQ(after.hot_read_demotions, before.hot_read_demotions + hot);
+  EXPECT_EQ(after.fast_read_hits, before.fast_read_hits);
+  EXPECT_EQ(after.gets_succeeded, before.gets_succeeded + 1);
+}
+
+std::string CaseName(
+    const ::testing::TestParamInfo<ReadPlanDemotionTest::ParamType>& param) {
+  static const char* const kPlans[] = {"Primary", "Hot"};
+  static const char* const kFaults[] = {"Miss", "ErrorAck", "CorruptAck",
+                                        "Timeout"};
+  return std::string(kPlans[static_cast<int>(std::get<0>(param.param))]) +
+         kFaults[static_cast<int>(std::get<1>(param.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFaults, ReadPlanDemotionTest,
+    ::testing::Combine(::testing::Values(Plan::kPrimary, Plan::kHot),
+                       ::testing::Values(Fault::kMiss, Fault::kErrorAck,
+                                         Fault::kCorruptAck, Fault::kTimeout)),
+    CaseName);
 
 }  // namespace
 }  // namespace hotman::cluster
