@@ -108,9 +108,9 @@ struct ChaosOptions {
 
   /// Skewed-workload profile: the strict-quorum base with Zipf(0.99) key
   /// popularity and the hot-rotation read plan armed at test-scale heat
-  /// thresholds. The head key stays dirty-prone (half the
-  /// ops are writes) while its reads fan across replicas mid-partition —
-  /// exactly the window where a digest bug would surface as a stale read.
+  /// thresholds. The head key stays dirty-prone (half the ops are writes)
+  /// while its reads fan across replicas mid-partition — exactly the
+  /// window where a digest bug would surface as a stale read.
   static ChaosOptions SkewProfile(std::uint64_t seed);
 };
 

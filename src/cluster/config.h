@@ -36,7 +36,6 @@ enum class ReadPath {
   kHotRotation,
 };
 
-
 /// Declaration of one physical storage node.
 struct NodeSpec {
   std::string address;  ///< e.g. "db1:19870"
@@ -82,10 +81,10 @@ struct ClusterConfig {
   bool read_repair = true;          ///< replica supplementation on Get
 
   // --- read path (one ReadPlan executor; DESIGN.md "Read plans") ---
-  /// Which plan a read of a *clean* key runs. Every plan falls back to the
-  /// R-quorum plan on any miss, error, corrupt ack or timeout, and dirty
-  /// keys, sloppy mode (hinted_handoff on) and a suspected primary always
-  /// take the quorum plan.
+  /// Which plan a read of a *clean* key runs. The single-replica plans
+  /// fall back to the R-quorum plan on any miss, error, corrupt ack or
+  /// timeout; dirty keys, sloppy mode (hinted_handoff on) and a suspected
+  /// primary always take the quorum plan.
   ReadPath read_path = ReadPath::kQuorum;
   /// Heat-sketch shape and hot thresholds (capacity, decay half-life, qps
   /// bar); the sketch feeds kHotRotation and /stats heat.*.
