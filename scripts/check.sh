@@ -61,7 +61,8 @@ job_chaos() {
 job_coverage() { scripts/coverage.sh; }
 
 # Behaviour-preservation proof for refactors: builds chaos_runner at
-# <base-rev> (in a temporary git worktree) and in the working tree, runs
+# <base-rev> (exported with git archive into a temporary directory) and in
+# the working tree, runs
 # the same seeds of every chaos profile on both and diffs the per-seed
 # history hashes. Same seed => same history, so identical hashes mean the
 # change did not alter any message, timer or outcome the checker sees.
@@ -76,9 +77,9 @@ job_hashes() {
   local work
   work="$(mktemp -d "${TMPDIR:-/tmp}/hotman-hashes.XXXXXX")"
   # shellcheck disable=SC2064  # expand ${work} now, not at exit
-  trap "git worktree remove --force '${work}/base' >/dev/null 2>&1 || true;
-        git worktree prune; rm -rf '${work}'" EXIT
-  git worktree add --detach "${work}/base" "${base}" >/dev/null 2>&1
+  trap "rm -rf '${work}'" EXIT
+  mkdir "${work}/base"
+  git archive "${base}" | tar -x -C "${work}/base"
   echo "==> [hashes] build chaos_runner at ${base}"
   cmake -B "${work}/base/build" -S "${work}/base" >/dev/null
   cmake --build "${work}/base/build" -j "${JOBS}" --target chaos_runner >/dev/null
@@ -90,8 +91,11 @@ job_hashes() {
   local head_bin="build-check-hashes/tools/chaos_runner"
   # Revisions before the read-plan enum spelled the primary plan
   # --fast-reads.
-  local base_primary="--read-path=primary"
-  if ! "${base_bin}" --help 2>&1 | grep -q -- "--read-path"; then
+  # The help text is captured first: chaos_runner --help exits 2, which
+  # under pipefail would fail a direct pipe into grep even on a match.
+  local base_primary="--read-path=primary" base_help
+  base_help="$("${base_bin}" --help 2>&1 || true)"
+  if ! grep -q -- "--read-path" <<<"${base_help}"; then
     base_primary="--fast-reads"
   fi
   local changed=0 profile flags base_flags

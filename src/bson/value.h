@@ -48,6 +48,9 @@ class Binary {
       : data_(std::make_shared<const Bytes>(std::move(data))), subtype_(subtype) {}
 
   const Bytes& data() const { return *data_; }
+  /// The shared buffer itself, for holders that keep the payload alive
+  /// past this Binary (the cache) without copying it.
+  const std::shared_ptr<const Bytes>& shared() const { return data_; }
   std::uint8_t subtype() const { return subtype_; }
 
   friend bool operator==(const Binary& a, const Binary& b) {

@@ -19,6 +19,10 @@ ShardedLruCache* CachePool::ServerFor(const std::string& key) {
 }
 
 bool CachePool::Put(const std::string& key, Bytes value) {
+  return Put(key, std::make_shared<const Bytes>(std::move(value)));
+}
+
+bool CachePool::Put(const std::string& key, std::shared_ptr<const Bytes> value) {
   return ServerFor(key)->Put(key, std::move(value));
 }
 

@@ -26,6 +26,7 @@ class CachePool {
   ShardedLruCache* ServerFor(const std::string& key);
 
   /// Pool-wide operations routed to the owning server.
+  bool Put(const std::string& key, std::shared_ptr<const Bytes> value);
   bool Put(const std::string& key, Bytes value);
   bool Get(const std::string& key, Bytes* value);
   bool GetShared(const std::string& key, std::shared_ptr<const Bytes>* value);

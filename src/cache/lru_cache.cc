@@ -4,10 +4,6 @@ namespace hotman::cache {
 
 namespace {
 
-std::size_t EntryBytes(const std::string& key, const Bytes& value) {
-  return key.size() + value.size();
-}
-
 std::size_t EntryBytes(const std::string& key,
                        const std::shared_ptr<const Bytes>& value) {
   return key.size() + value->size();
@@ -48,6 +44,10 @@ void LruCache::EvictUntilFits(std::size_t incoming) {
 }
 
 bool LruCache::Put(const std::string& key, Bytes value) {
+  return Put(key, std::make_shared<const Bytes>(std::move(value)));
+}
+
+bool LruCache::Put(const std::string& key, std::shared_ptr<const Bytes> value) {
   const std::size_t incoming = EntryBytes(key, value);
   if (incoming > capacity_bytes_) return false;
   bool was_pinned = false;
@@ -65,8 +65,7 @@ bool LruCache::Put(const std::string& key, Bytes value) {
     items_.erase(it);
   }
   EvictUntilFits(incoming);
-  lru_.push_front(Entry{key, std::make_shared<const Bytes>(std::move(value)),
-                        was_pinned});
+  lru_.push_front(Entry{key, std::move(value), was_pinned});
   items_.emplace(key, lru_.begin());
   used_bytes_ += incoming;
   if (was_pinned) {

@@ -18,15 +18,20 @@ namespace hotman::cache {
 ///
 /// Bytes is a bare std::vector with no built-in sharing, so shared
 /// ownership happens at the cache boundary: entries hold their value
-/// behind shared_ptr<const Bytes>, GetShared hands that pointer out
-/// without copying the payload, and Get keeps the historical
-/// copy-into-caller-buffer contract for callers that mutate the result.
+/// behind shared_ptr<const Bytes>. Put takes such a pointer, so a value
+/// already held elsewhere (a record's val buffer) is cached without a
+/// copy; GetShared hands the pointer out the same way, and Get keeps the
+/// historical copy-into-caller-buffer contract for callers that mutate
+/// the result.
 class LruCache {
  public:
   explicit LruCache(std::size_t capacity_bytes);
 
-  /// Inserts or refreshes `key`. Values larger than the whole cache are
-  /// rejected (returns false) rather than evicting everything.
+  /// Inserts or refreshes `key`, sharing `value` with the caller. Values
+  /// larger than the whole cache are rejected (returns false) rather than
+  /// evicting everything.
+  bool Put(const std::string& key, std::shared_ptr<const Bytes> value);
+  /// Put of a value the cache will own alone (moved into a fresh buffer).
   bool Put(const std::string& key, Bytes value);
 
   /// Fetches and promotes `key`; false on miss. Copies the value into

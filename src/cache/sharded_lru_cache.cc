@@ -57,6 +57,11 @@ std::size_t ShardedLruCache::shard_item_count(std::size_t shard) const {
 }
 
 bool ShardedLruCache::Put(const std::string& key, Bytes value) {
+  return Put(key, std::make_shared<const Bytes>(std::move(value)));
+}
+
+bool ShardedLruCache::Put(const std::string& key,
+                          std::shared_ptr<const Bytes> value) {
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);
   return shard.cache.Put(key, std::move(value));

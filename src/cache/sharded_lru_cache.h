@@ -36,8 +36,10 @@ class ShardedLruCache {
   ShardedLruCache(const ShardedLruCache&) = delete;
   ShardedLruCache& operator=(const ShardedLruCache&) = delete;
 
-  /// Inserts or refreshes `key` in its shard. Values larger than the
-  /// shard's budget are rejected (returns false), mirroring LruCache.
+  /// Inserts or refreshes `key` in its shard, sharing `value` with the
+  /// caller. Values larger than the shard's budget are rejected (returns
+  /// false), mirroring LruCache.
+  bool Put(const std::string& key, std::shared_ptr<const Bytes> value);
   bool Put(const std::string& key, Bytes value);
 
   /// Fetches and promotes `key`; false on miss. Copies the value.

@@ -86,19 +86,19 @@ constexpr Micros kWriteRetryBackoff = 150 * kMicrosPerMilli;
 
 }  // namespace
 
-void Cluster::Put(const std::string& key, Bytes value, PutCallback cb) {
+void Cluster::Put(const std::string& key, bson::Binary value, PutCallback cb) {
   // Each attempt re-picks a coordinator, so an attempt doomed by its own
   // coordinator's outage is retried through a healthy front door. The
   // stored closure holds itself only weakly — strong references travel
   // with the in-flight callbacks — so the final completion releases the
   // closure instead of leaking a shared_ptr cycle.
   auto attempt = std::make_shared<std::function<void(int)>>();
-  auto shared_value = std::make_shared<Bytes>(std::move(value));
   std::weak_ptr<std::function<void(int)>> weak = attempt;
-  *attempt = [this, key, shared_value, cb = std::move(cb), weak](int tries) {
+  *attempt = [this, key, value = std::move(value), cb = std::move(cb),
+              weak](int tries) {
     auto self = weak.lock();  // pins the closure across the async op
     AnyCoordinator()->CoordinatePut(
-        key, *shared_value,
+        key, value,
         [this, key, cb, self, tries](const Status& s) {
           if (s.ok() || tries + 1 >= kWriteAttempts) {
             cb(s);
@@ -153,17 +153,21 @@ void Cluster::Delete(const std::string& key, PutCallback cb) {
   (*attempt)(0);
 }
 
-Status Cluster::PutSync(const std::string& key, Bytes value) {
+void Cluster::RunUntilDone(const bool& done) {
+  const Micros deadline = loop_.Now() + kSyncOpBudget;
+  while (!done && loop_.Now() < deadline && loop_.PendingEvents() > 0) {
+    loop_.RunUntil(loop_.Now() + kMicrosPerMilli);
+  }
+}
+
+Status Cluster::PutSync(const std::string& key, bson::Binary value) {
   Status result = Status::Timeout("put never completed");
   bool done = false;
   Put(key, std::move(value), [&result, &done](const Status& s) {
     result = s;
     done = true;
   });
-  const Micros deadline = loop_.Now() + kSyncOpBudget;
-  while (!done && loop_.Now() < deadline && loop_.PendingEvents() > 0) {
-    loop_.RunUntil(loop_.Now() + kMicrosPerMilli);
-  }
+  RunUntilDone(done);
   return result;
 }
 
@@ -180,10 +184,7 @@ Result<Bytes> Cluster::GetSync(const std::string& key) {
     }
     done = true;
   });
-  const Micros deadline = loop_.Now() + kSyncOpBudget;
-  while (!done && loop_.Now() < deadline && loop_.PendingEvents() > 0) {
-    loop_.RunUntil(loop_.Now() + kMicrosPerMilli);
-  }
+  RunUntilDone(done);
   return result;
 }
 
@@ -194,10 +195,7 @@ Status Cluster::DeleteSync(const std::string& key) {
     result = s;
     done = true;
   });
-  const Micros deadline = loop_.Now() + kSyncOpBudget;
-  while (!done && loop_.Now() < deadline && loop_.PendingEvents() > 0) {
-    loop_.RunUntil(loop_.Now() + kMicrosPerMilli);
-  }
+  RunUntilDone(done);
   return result;
 }
 

@@ -45,15 +45,20 @@ class Cluster {
   /// The node owning `key` (closest coordinator for the read path).
   StorageNode* CoordinatorFor(const std::string& key);
 
-  /// Async operations through a round-robin coordinator.
-  void Put(const std::string& key, Bytes value, PutCallback cb);
+  /// Async operations through a round-robin coordinator. Every attempt and
+  /// every replica shares `value`'s buffer; a Bytes argument is moved in.
+  void Put(const std::string& key, bson::Binary value, PutCallback cb);
   void Get(const std::string& key, GetCallback cb);
   void Delete(const std::string& key, PutCallback cb);
 
   /// Blocking wrappers: drive the event loop until the callback fires.
-  Status PutSync(const std::string& key, Bytes value);
+  Status PutSync(const std::string& key, bson::Binary value);
   Result<Bytes> GetSync(const std::string& key);  ///< NotFound on tombstones
   Status DeleteSync(const std::string& key);
+
+  /// The blocking wrappers' pump: runs the loop until `done` turns true,
+  /// the loop runs dry, or a generous virtual-time budget passes.
+  void RunUntilDone(const bool& done);
 
   // --- membership ------------------------------------------------------------
 

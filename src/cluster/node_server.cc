@@ -83,7 +83,7 @@ void NodeServer::HandleClientGet(const net::Message& msg) {
         } else {
           ack.ok = true;
           ack.found = true;
-          ack.value = core::RecordValue(*r);
+          ack.value = core::RecordBinary(*r);
         }
         Reply(client, net::kMsgClientGetAck, net::EncodeClientGetAck(ack));
       });

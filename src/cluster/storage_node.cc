@@ -558,7 +558,7 @@ void StorageNode::HandleHandoffDeliver(ShardState& ss, const std::string& from,
 
 // --- coordinator: Put -------------------------------------------------------
 
-void StorageNode::CoordinatePut(const std::string& key, Bytes value,
+void StorageNode::CoordinatePut(const std::string& key, bson::Binary value,
                                 PutCallback cb) {
   const int shard = ShardOfKey(key);
   RunOnShard(shard, [this, shard, key, value = std::move(value),

@@ -128,8 +128,9 @@ class StorageNode {
 
   /// Coordinates a write of (key, value): builds the record, replicates to
   /// the N preference nodes, succeeds at W acks (§5.2.2). Runs on the
-  /// key's shard; `cb` fires in that shard's context.
-  void CoordinatePut(const std::string& key, Bytes value, PutCallback cb);
+  /// key's shard; `cb` fires in that shard's context. The record shares
+  /// `value`'s buffer with the caller.
+  void CoordinatePut(const std::string& key, bson::Binary value, PutCallback cb);
 
   /// Logical delete: a tombstone write (isDel=1) through the same quorum.
   void CoordinateDelete(const std::string& key, PutCallback cb);

@@ -67,6 +67,16 @@ void MyStore::MaybePinHot(const std::string& key) {
   if (cache_->Pin(key)) pinned_keys_.insert(key);
 }
 
+Result<Bytes> MyStore::ReadThrough(const std::string& key,
+                                   const Result<bson::Document>& record) {
+  if (!record.ok()) return record.status();
+  if (RecordIsDeleted(*record)) return Status::NotFound("key deleted: " + key);
+  const bson::Binary& value = RecordBinary(*record);
+  cache_->Put(key, value.shared());  // read-through insert of the record's buffer
+  MaybePinHot(key);                  // admission bias: hot keys stick immediately
+  return value.data();               // the one copy: GetCb hands out Bytes
+}
+
 void MyStore::GetAsync(const std::string& key, GetCb cb) {
   NoteHeat(key);
   Bytes cached;
@@ -76,30 +86,23 @@ void MyStore::GetAsync(const std::string& key, GetCb cb) {
   }
   cluster_->Get(key, [this, key, cb = std::move(cb)](
                          const Result<bson::Document>& record) {
-    if (!record.ok()) {
-      cb(record.status());
-      return;
-    }
-    if (RecordIsDeleted(*record)) {
-      cb(Status::NotFound("key deleted: " + key));
-      return;
-    }
-    Bytes value = RecordValue(*record);
-    cache_->Put(key, value);  // read-through insert
-    MaybePinHot(key);         // admission bias: hot keys stick immediately
-    cb(std::move(value));
+    cb(ReadThrough(key, record));
   });
 }
 
 void MyStore::PostAsync(const std::string& key, Bytes value, MutateCb cb) {
   NoteHeat(key);
-  cluster_->Put(key, value, [this, key, value, cb = std::move(cb)](const Status& s) {
-    if (s.ok()) {
-      cache_->Put(key, value);  // write-through on success
-      MaybePinHot(key);
-    }
-    cb(s);
-  });
+  // One buffer from here on: the cluster's records and, on success, the
+  // cache entry all share it.
+  bson::Binary shared(std::move(value));
+  cluster_->Put(key, shared,
+                [this, key, shared, cb = std::move(cb)](const Status& s) {
+                  if (s.ok()) {
+                    cache_->Put(key, shared.shared());  // write-through on success
+                    MaybePinHot(key);
+                  }
+                  cb(s);
+                });
 }
 
 void MyStore::DeleteAsync(const std::string& key, MutateCb cb) {
@@ -113,19 +116,23 @@ Result<Bytes> MyStore::Get(const std::string& key) {
   NoteHeat(key);
   Bytes cached;
   if (cache_->Get(key, &cached)) return cached;
-  auto value = cluster_->GetSync(key);
-  if (value.ok()) {
-    cache_->Put(key, *value);
-    MaybePinHot(key);
-  }
-  return value;
+  Result<Bytes> result = Status::Timeout("get never completed");
+  bool done = false;
+  cluster_->Get(key, [this, &key, &result, &done](
+                         const Result<bson::Document>& record) {
+    result = ReadThrough(key, record);
+    done = true;
+  });
+  cluster_->RunUntilDone(done);
+  return result;
 }
 
 Status MyStore::Post(const std::string& key, Bytes value) {
   NoteHeat(key);
-  Status s = cluster_->PutSync(key, value);
+  bson::Binary shared(std::move(value));
+  Status s = cluster_->PutSync(key, shared);
   if (s.ok()) {
-    cache_->Put(key, std::move(value));
+    cache_->Put(key, shared.shared());
     MaybePinHot(key);
   }
   return s;

@@ -112,6 +112,11 @@ class MyStore {
  private:
   rest::Response HandleOnWorker(int worker, const rest::Request& request);
 
+  /// The miss path shared by Get and GetAsync: maps a tombstone to
+  /// NotFound, caches the record's own val buffer and returns the value.
+  Result<Bytes> ReadThrough(const std::string& key,
+                            const Result<bson::Document>& record);
+
   /// Counts one client operation on `key` against the front-side heat
   /// sketch; every kHeatRefreshOps operations the pin set is refreshed.
   void NoteHeat(const std::string& key);

@@ -19,12 +19,15 @@ const bson::Value* RequireField(const bson::Document& record, const char* name) 
 }  // namespace
 
 bson::Document MakeRecord(const bson::ObjectId& id, std::string_view self_key,
-                          Bytes value, bool is_copy, bool deleted, Micros timestamp,
-                          std::string_view origin_node) {
+                          bson::Binary value, bool is_copy, bool deleted,
+                          Micros timestamp, std::string_view origin_node) {
   bson::Document record;
   record.Append(kFieldId, bson::Value(id));
   record.Append(kFieldSelfKey, bson::Value(self_key));
-  record.Append(kFieldVal, bson::Value(bson::Binary(std::move(value), 0)));
+  // The schema's val is BinData subtype 0; a value that arrived with
+  // another subtype (a client frame) is the one case that costs a copy.
+  if (value.subtype() != 0) value = bson::Binary(value.data(), 0);
+  record.Append(kFieldVal, bson::Value(std::move(value)));
   // The paper stores the flags as strings ("isData" : "1"); keep that shape.
   record.Append(kFieldIsData, bson::Value(is_copy ? "0" : "1"));
   record.Append(kFieldIsDel, bson::Value(deleted ? "1" : "0"));
@@ -35,8 +38,8 @@ bson::Document MakeRecord(const bson::ObjectId& id, std::string_view self_key,
 
 bson::Document MakeTombstone(const bson::ObjectId& id, std::string_view self_key,
                              Micros timestamp, std::string_view origin_node) {
-  return MakeRecord(id, self_key, Bytes{}, /*is_copy=*/false, /*deleted=*/true,
-                    timestamp, origin_node);
+  return MakeRecord(id, self_key, bson::Binary(), /*is_copy=*/false,
+                    /*deleted=*/true, timestamp, origin_node);
 }
 
 Status ValidateRecord(const bson::Document& record) {
@@ -75,7 +78,11 @@ std::string RecordSelfKey(const bson::Document& record) {
 }
 
 const Bytes& RecordValue(const bson::Document& record) {
-  return RequireField(record, kFieldVal)->as_binary().data();
+  return RecordBinary(record).data();
+}
+
+const bson::Binary& RecordBinary(const bson::Document& record) {
+  return RequireField(record, kFieldVal)->as_binary();
 }
 
 bool RecordIsDeleted(const bson::Document& record) {

@@ -32,9 +32,11 @@ inline constexpr const char* kFieldOrigin = "_origin";
 /// is a copy"): the coordinator stores the original (isData=1) and the
 /// N-1 replicas store copies (isData=0). `deleted` maps to isDel ("if the
 /// record is deleted, just update the flag and not physically remove").
+/// The record shares `value`'s buffer; a Bytes argument is moved into a
+/// fresh one.
 bson::Document MakeRecord(const bson::ObjectId& id, std::string_view self_key,
-                          Bytes value, bool is_copy, bool deleted, Micros timestamp,
-                          std::string_view origin_node);
+                          bson::Binary value, bool is_copy, bool deleted,
+                          Micros timestamp, std::string_view origin_node);
 
 /// A tombstone record for logical deletion of `self_key`.
 bson::Document MakeTombstone(const bson::ObjectId& id, std::string_view self_key,
@@ -48,6 +50,9 @@ Status ValidateRecord(const bson::Document& record);
 /// untrusted input first).
 std::string RecordSelfKey(const bson::Document& record);
 const Bytes& RecordValue(const bson::Document& record);
+/// The val field itself: its shared() buffer outlives the record, so a
+/// holder (the cache, a client reply) can keep the value without a copy.
+const bson::Binary& RecordBinary(const bson::Document& record);
 bool RecordIsDeleted(const bson::Document& record);
 bool RecordIsCopy(const bson::Document& record);
 Micros RecordTimestamp(const bson::Document& record);

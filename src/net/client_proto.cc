@@ -31,12 +31,12 @@ Result<bool> GetBool(const Document& doc, const char* name) {
   return v->as_bool();
 }
 
-Result<Bytes> GetBin(const Document& doc, const char* name) {
+Result<bson::Binary> GetBin(const Document& doc, const char* name) {
   const Value* v = doc.Get(name);
   if (v == nullptr || !v->is_binary()) {
     return Status::Corruption(std::string("missing binary field: ") + name);
   }
-  return v->as_binary().data();
+  return v->as_binary();  // shares the document's buffer
 }
 
 Result<double> GetF64(const Document& doc, const char* name) {
@@ -55,7 +55,7 @@ bson::Document EncodeClientPut(const ClientPutMsg& msg) {
   Document doc;
   doc.Append("req", Value(AsI64(msg.req)));
   doc.Append("key", Value(msg.key));
-  doc.Append("val", Value(bson::Binary(msg.value)));
+  doc.Append("val", Value(msg.value));
   return doc;
 }
 
@@ -118,7 +118,7 @@ bson::Document EncodeClientGetAck(const ClientGetAckMsg& msg) {
   doc.Append("req", Value(AsI64(msg.req)));
   doc.Append("ok", Value(msg.ok));
   doc.Append("found", Value(msg.found));
-  doc.Append("val", Value(bson::Binary(msg.value)));
+  doc.Append("val", Value(msg.value));
   doc.Append("err", Value(msg.error));
   return doc;
 }

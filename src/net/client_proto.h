@@ -5,7 +5,6 @@
 #include <string>
 
 #include "bson/document.h"
-#include "common/bytes.h"
 #include "common/status.h"
 
 namespace hotman::net {
@@ -32,11 +31,12 @@ inline constexpr const char* kMsgClientRebalanceStatus =
 inline constexpr const char* kMsgClientRebalanceStatusAck =
     "client_rebalance_status_ack";
 
-/// client_put payload.
+/// client_put payload. `value` shares its buffer with the document it was
+/// decoded from (and with the document it is encoded into).
 struct ClientPutMsg {
   std::uint64_t req = 0;
   std::string key;
-  Bytes value;
+  bson::Binary value;
 };
 
 /// client_put_ack / client_delete_ack payload.
@@ -53,12 +53,13 @@ struct ClientGetMsg {
 };
 
 /// client_get_ack payload. `ok` means the quorum read succeeded; `found`
-/// distinguishes a present value from NotFound / tombstone.
+/// distinguishes a present value from NotFound / tombstone. `value` shares
+/// its buffer like ClientPutMsg's (a node replies with the stored record's).
 struct ClientGetAckMsg {
   std::uint64_t req = 0;
   bool ok = false;
   bool found = false;
-  Bytes value;
+  bson::Binary value;
   std::string error;
 };
 

@@ -194,7 +194,7 @@ Result<Bytes> RemoteClient::Get(const std::string& server,
   if (!ack.ok()) return ack.status();
   if (!ack->ok) return Status::QuorumFailed(ack->error);
   if (!ack->found) return Status::NotFound("key not found: " + key);
-  return std::move(ack->value);
+  return ack->value.data();  // the caller gets its own Bytes
 }
 
 Status RemoteClient::Delete(const std::string& server, const std::string& key) {

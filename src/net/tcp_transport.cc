@@ -84,10 +84,7 @@ Status TcpTransport::Start() {
     socklen_t len = sizeof(bound);
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
     listen_port_ = ntohs(bound.sin_port);
-    epoll_event lev{};
-    lev.events = EPOLLIN;
-    lev.data.fd = listen_fd_;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &lev);
+    if (!endpoints_.empty()) ArmListener();
   }
 
   // Arm the periodic housekeeping timer before the loop thread exists; no
@@ -145,6 +142,7 @@ void TcpTransport::Stop() {
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   listen_fd_ = wake_fd_ = epoll_fd_ = -1;
+  listener_armed_ = false;
 }
 
 void TcpTransport::AddOrUpdatePeer(const std::string& name, TcpPeer peer) {
@@ -166,8 +164,10 @@ void TcpTransport::Post(std::function<void()> fn) {
     switch (loop_state_) {
       case LoopState::kRunning:
         pending_ops_.push_back(std::move(fn));
-        fn = nullptr;
-        break;
+        // Woken under the lock: Stop() leaves kRunning under it before it
+        // closes wake_fd_, so this write cannot race the close.
+        Wake();
+        return;
       case LoopState::kStopping: {
         // Racing Stop(): the loop will never drain again, and running the
         // closure here would race the dying loop thread. Drop + count.
@@ -179,12 +179,8 @@ void TcpTransport::Post(std::function<void()> fn) {
         break;  // run inline below, outside the lock
     }
   }
-  if (fn != nullptr) {
-    // The loop does not exist (setup/teardown, single-threaded by contract).
-    fn();
-    return;
-  }
-  Wake();
+  // The loop does not exist (setup/teardown, single-threaded by contract).
+  fn();
 }
 
 void TcpTransport::Wake() {
@@ -200,7 +196,17 @@ void TcpTransport::SetTickHook(std::function<void()> hook) {
 void TcpTransport::RegisterEndpoint(const std::string& name, Handler handler) {
   Post([this, name, handler = std::move(handler)]() mutable {
     endpoints_[name] = std::move(handler);
+    ArmListener();
   });
+}
+
+void TcpTransport::ArmListener() {
+  if (listen_fd_ < 0 || listener_armed_) return;
+  epoll_event lev{};
+  lev.events = EPOLLIN;
+  lev.data.fd = listen_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &lev);
+  listener_armed_ = true;
 }
 
 void TcpTransport::UnregisterEndpoint(const std::string& name) {

@@ -77,6 +77,10 @@ class TcpTransport : public Transport {
   TcpTransport& operator=(const TcpTransport&) = delete;
 
   /// Binds the listener (unless disabled) and starts the loop thread.
+  /// Connections are accepted only once the first endpoint is registered:
+  /// before that no inbound frame could be delivered, so peers that dial
+  /// early wait in the kernel's accept queue (their connect() succeeds)
+  /// instead of having their first frames read and dropped.
   Status Start();
 
   /// Graceful shutdown: wakes the loop, closes every connection, joins the
@@ -158,6 +162,8 @@ class TcpTransport : public Transport {
   void HandleReadable(Conn* conn);
   void HandleWritable(Conn* conn);
   void FinishConnect(Conn* conn);
+  /// Starts accepting on the listener (idempotent; no-op without one).
+  void ArmListener();
   void DeliverLocally(const Message& msg, std::size_t wire_bytes);
   void SendOnLoop(Message msg);
   Conn* ConnectTo(const std::string& name, PeerState* peer);
@@ -176,6 +182,7 @@ class TcpTransport : public Transport {
   std::thread loop_thread_;
   int epoll_fd_ = -1;
   int listen_fd_ = -1;
+  bool listener_armed_ = false;  ///< listen_fd_ is in the epoll set
   int wake_fd_ = -1;
   std::uint16_t listen_port_ = 0;
 

@@ -182,6 +182,62 @@ TEST(LruCacheTest, RefreshKeepsPinAndByteAccounting) {
   EXPECT_EQ(cache.pinned_count(), 0u);
 }
 
+TEST(LruCacheTest, SharedPutKeepsBytesPutAccounting) {
+  // The same script through both Put overloads: every counter must agree
+  // after every step, across LRU evictions, pins, a pinned refresh, an
+  // oversize reject and a forced pinned eviction.
+  LruCache by_bytes(100);
+  LruCache by_shared(100);
+  auto expect_same = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(by_bytes.size_bytes(), by_shared.size_bytes());
+    EXPECT_EQ(by_bytes.item_count(), by_shared.item_count());
+    EXPECT_EQ(by_bytes.pinned_count(), by_shared.pinned_count());
+    EXPECT_EQ(by_bytes.pinned_bytes(), by_shared.pinned_bytes());
+    EXPECT_EQ(by_bytes.evictions(), by_shared.evictions());
+    EXPECT_EQ(by_bytes.forced_pinned_evictions(),
+              by_shared.forced_pinned_evictions());
+  };
+  auto put = [&](const std::string& key, std::size_t size) {
+    const auto value = std::make_shared<const Bytes>(size, 'v');
+    EXPECT_EQ(by_bytes.Put(key, Bytes(size, 'v')), by_shared.Put(key, value));
+    if (by_shared.Contains(key)) {
+      // The entry is the caller's buffer, not a copy of it.
+      std::shared_ptr<const Bytes> held;
+      ASSERT_TRUE(by_shared.GetShared(key, &held));
+      EXPECT_EQ(held.get(), value.get());
+      ASSERT_TRUE(by_bytes.GetShared(key, &held));  // same promotion
+    }
+    expect_same("put " + key);
+  };
+  put("a", 27);
+  ASSERT_TRUE(by_bytes.Pin("a"));
+  ASSERT_TRUE(by_shared.Pin("a"));
+  expect_same("pin a");
+  put("b", 27);
+  put("c", 27);
+  put("d", 27);      // evicts b, skipping pinned a
+  put("a", 37);      // pinned refresh to a new size
+  put("e", 200);     // larger than the cache: rejected
+  put("big", 90);    // only room after sacrificing pinned a
+  ASSERT_TRUE(by_bytes.Erase("big"));
+  ASSERT_TRUE(by_shared.Erase("big"));
+  expect_same("erase big");
+  EXPECT_GE(by_bytes.evictions(), 2u);
+  EXPECT_EQ(by_bytes.forced_pinned_evictions(), 1u);
+  EXPECT_EQ(by_bytes.size_bytes(), 0u);
+}
+
+TEST(CachePoolTest, SharedPutCachesTheCallersBuffer) {
+  CachePool pool(3, 1024);
+  const auto value = std::make_shared<const Bytes>(ToBytes("shared"));
+  ASSERT_TRUE(pool.Put("k", value));
+  std::shared_ptr<const Bytes> held;
+  ASSERT_TRUE(pool.GetShared("k", &held));
+  EXPECT_EQ(held.get(), value.get());
+  EXPECT_EQ(pool.ServerFor("k")->size_bytes(), 1 + value->size());
+}
+
 TEST(CachePoolTest, PinRoutesToOwningServer) {
   CachePool pool(3, 1024);
   ASSERT_TRUE(pool.Put("k", ToBytes("v")));

@@ -241,6 +241,71 @@ TEST_F(MyStoreTest, AsyncApiWorks) {
   EXPECT_TRUE(get_done);
 }
 
+/// The val buffers of every stored copy of `key` across the cluster.
+std::vector<const Bytes*> StoredBuffers(MyStore* store, const std::string& key) {
+  std::vector<const Bytes*> buffers;
+  for (cluster::StorageNode* node : store->storage()->nodes()) {
+    auto record = node->store()->GetByKey(key);
+    if (record.ok()) buffers.push_back(RecordBinary(*record).shared().get());
+  }
+  return buffers;
+}
+
+/// The buffer the cache holds for `key` (nullptr on a miss).
+const Bytes* CachedBuffer(MyStore* store, const std::string& key) {
+  std::shared_ptr<const Bytes> held;
+  return store->cache_pool()->GetShared(key, &held) ? held.get() : nullptr;
+}
+
+TEST_F(MyStoreTest, PostCachesTheStoredRecordBuffer) {
+  // Write-through caches the very buffer the replicas store: the value is
+  // copied nowhere between the caller and the last holder.
+  Boot();
+  bool done = false;
+  store_->PostAsync("async", Bytes(64 * 1024, 'a'), [&done](const Status& s) {
+    EXPECT_TRUE(s.ok());
+    done = true;
+  });
+  store_->RunFor(3 * kMicrosPerSecond);
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(store_->Post("sync", Bytes(64 * 1024, 's')).ok());
+  for (const char* key : {"async", "sync"}) {
+    SCOPED_TRACE(key);
+    const Bytes* cached = CachedBuffer(store_.get(), key);
+    ASSERT_NE(cached, nullptr);
+    const std::vector<const Bytes*> stored = StoredBuffers(store_.get(), key);
+    EXPECT_GE(stored.size(), 2u);  // at least W copies
+    for (const Bytes* buffer : stored) EXPECT_EQ(buffer, cached);
+  }
+}
+
+TEST_F(MyStoreTest, MissCachesTheStoredRecordBuffer) {
+  // Read-through inserts the record's own buffer; only the caller's
+  // Result<Bytes> is a copy.
+  Boot();
+  ASSERT_TRUE(store_->Post("k", Bytes(64 * 1024, 'k')).ok());
+  store_->cache_pool()->Clear();
+  bool done = false;
+  store_->GetAsync("k", [&done](const Result<Bytes>& value) {
+    ASSERT_TRUE(value.ok());
+    EXPECT_EQ(*value, Bytes(64 * 1024, 'k'));
+    done = true;
+  });
+  store_->RunFor(3 * kMicrosPerSecond);
+  ASSERT_TRUE(done);
+  const Bytes* cached = CachedBuffer(store_.get(), "k");
+  ASSERT_NE(cached, nullptr);
+  const std::vector<const Bytes*> stored = StoredBuffers(store_.get(), "k");
+  ASSERT_FALSE(stored.empty());
+  for (const Bytes* buffer : stored) EXPECT_EQ(buffer, cached);
+
+  // The blocking Get takes the same miss path.
+  store_->cache_pool()->Clear();
+  auto value = store_->Get("k");
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(CachedBuffer(store_.get(), "k"), stored.front());
+}
+
 TEST_F(MyStoreTest, VeePalmsStyleMixedContent) {
   Boot();
   // XML scenes, guideline videos, PDF reports — all unstructured bytes.

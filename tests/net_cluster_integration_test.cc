@@ -157,9 +157,50 @@ class LoopbackClusterTest : public ::testing::Test {
     return false;
   }
 
+  /// A counter from a node's stats JSON ({"counters":{"name":N,...}});
+  /// -1 when the node does not answer or lacks the counter.
+  std::int64_t Counter(RemoteClient* client, const Node& node,
+                       const std::string& name) {
+    auto stats = client->Stats(node.name);
+    if (!stats.ok()) return -1;
+    const std::string needle = "\"" + name + "\":";
+    const std::size_t at = stats->find(needle);
+    if (at == std::string::npos) return -1;
+    return std::strtoll(stats->c_str() + at + needle.size(), nullptr, 10);
+  }
+
   std::string bin_;
   std::vector<Node> nodes_;
 };
+
+TEST_F(LoopbackClusterTest, RequestAtFirstAcceptIsAnswered) {
+  // Dial n1 in a tight loop while it boots and send a get the moment the
+  // port accepts. The daemon must answer it rather than drop it for want
+  // of an endpoint; a dropped request would only end in the client's
+  // timeout, made long here so a slow (sanitized, loaded) boot still
+  // counts as answered.
+  RemoteClientConfig config = ClientConfig(nodes_[0], "early");
+  config.op_timeout = 30 * kMicrosPerSecond;
+  RemoteClient early(config);
+  const auto boot_deadline = std::chrono::steady_clock::now() + 20s;
+  while (!early.Connect().ok()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), boot_deadline)
+        << "n1 never accepted";
+    std::this_thread::sleep_for(1ms);
+  }
+  auto reply = early.Get(nodes_[0].name, "never-written");
+  // R=1 and n1 replicates every key to itself: an authoritative NotFound.
+  EXPECT_TRUE(reply.status().IsNotFound()) << reply.status().ToString();
+
+  // Boot completes, and no daemon dropped a frame for a missing endpoint
+  // on the way: early frames wait in the kernel until the node serves.
+  RemoteClient c1(ClientConfig(nodes_[0], "c1"));
+  ASSERT_TRUE(AwaitBoot(&c1, nodes_[0].name)) << "cluster never booted";
+  for (const Node& node : nodes_) {
+    RemoteClient probe(ClientConfig(node, "probe"));
+    EXPECT_EQ(Counter(&probe, node, "net.dropped_no_endpoint"), 0) << node.name;
+  }
+}
 
 TEST_F(LoopbackClusterTest, QuorumOpsSurviveNodeKill) {
   RemoteClient c1(ClientConfig(nodes_[0], "c1"));

@@ -13,6 +13,7 @@
 #include "bson/codec.h"
 #include "bson/document.h"
 #include "common/random.h"
+#include "net/client_proto.h"
 
 namespace hotman::net {
 namespace {
@@ -233,6 +234,43 @@ TEST(FrameCodecTest, DecodeEnvelopeRejectsTrailingGarbage) {
   ASSERT_TRUE(DecodeEnvelope(payload, &out).ok());
   payload += "extra";
   EXPECT_FALSE(DecodeEnvelope(payload, &out).ok());
+}
+
+TEST(ClientProtoTest, PutValueSharesTheFrameBuffer) {
+  // Off the wire: the decoded put's value is the frame document's own val
+  // buffer, so a node hands it to the coordinator without a copy.
+  Message in;
+  in.from = "client";
+  in.to = "db1:19870";
+  in.type = kMsgClientPut;
+  in.body = EncodeClientPut({7, "key", Bytes(4096, 'p')});
+  std::string wire;
+  EncodeFrame(in, &wire);
+  FrameReader reader;
+  reader.Append(wire);
+  Message out;
+  bool complete = false;
+  ASSERT_TRUE(reader.Next(&out, &complete).ok());
+  ASSERT_TRUE(complete);
+  auto put = DecodeClientPut(out.body);
+  ASSERT_TRUE(put.ok()) << put.status().ToString();
+  EXPECT_EQ(put->req, 7u);
+  EXPECT_EQ(put->value.data(), Bytes(4096, 'p'));
+  EXPECT_EQ(put->value.shared().get(),
+            out.body.Get("val")->as_binary().shared().get());
+}
+
+TEST(ClientProtoTest, GetAckEncodesTheValueBufferItHolds) {
+  ClientGetAckMsg ack;
+  ack.req = 3;
+  ack.ok = true;
+  ack.found = true;
+  ack.value = Bytes(4096, 'g');
+  const bson::Document doc = EncodeClientGetAck(ack);
+  EXPECT_EQ(doc.Get("val")->as_binary().shared().get(), ack.value.shared().get());
+  auto decoded = DecodeClientGetAck(doc);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->value.shared().get(), ack.value.shared().get());
 }
 
 }  // namespace

@@ -37,6 +37,16 @@ TEST(ShardedLruCacheTest, GetSharedAliasesWithoutCopy) {
   EXPECT_EQ(ToString(*a), "shared");
 }
 
+TEST(ShardedLruCacheTest, SharedPutCachesTheCallersBuffer) {
+  ShardedLruCache cache(1 << 20);
+  const auto value = std::make_shared<const Bytes>(ToBytes("shared"));
+  ASSERT_TRUE(cache.Put("k", value));
+  std::shared_ptr<const Bytes> held;
+  ASSERT_TRUE(cache.GetShared("k", &held));
+  EXPECT_EQ(held.get(), value.get());
+  EXPECT_EQ(cache.size_bytes(), 1 + value->size());
+}
+
 TEST(ShardedLruCacheTest, KeysSpreadAcrossShards) {
   ShardedLruCache cache(1 << 20, 8);
   std::set<std::size_t> used;

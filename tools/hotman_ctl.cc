@@ -5,8 +5,8 @@
 //   hotman_ctl --connect 127.0.0.1:19870 --server db1:19870 del KEY
 //   hotman_ctl --connect 127.0.0.1:19870 --server db1:19870 stats
 //   hotman_ctl --connect 127.0.0.1:19870 --server db1:19870 bench 1000
-//   hotman_ctl --connect 127.0.0.1:19870 --server db1:19870 \
-//       join db6:19870 [VNODES] [CAPACITY]
+//   hotman_ctl --connect 127.0.0.1:19870 --server db1:19870 join db6:19870
+//       [VNODES] [CAPACITY]   (one command line; wrapped here)
 //   hotman_ctl --connect 127.0.0.1:19870 --server db1:19870 decommission
 //   hotman_ctl --connect 127.0.0.1:19870 --server db1:19870 rebalance-status
 //

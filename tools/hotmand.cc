@@ -212,8 +212,10 @@ int main(int argc, char** argv) {
     transport.Stop();
     return 1;
   }
-  // Safe to construct with the loop live: no frame can reach the node
-  // before RegisterEndpoint inside node->Start() below.
+  // Safe to construct with the loop live: the transport accepts no
+  // connection before RegisterEndpoint inside node->Start() below, and that
+  // whole Start() runs as one loop op, so the first frame read from a
+  // client or peer finds the node serving.
   auto node = std::make_unique<cluster::StorageNode>(
       self_spec, config, &transport, /*injector=*/nullptr, rng_seed, &sharded);
   cluster::NodeServer server(node.get(), &transport);
