@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -82,27 +83,58 @@ Status DecodeEnvelope(std::string_view payload, Message* msg) {
 }
 
 void FrameReader::Append(std::string_view data) {
-  if (!error_.ok()) return;  // stream is dead, don't buffer more
-  // Compact once the consumed prefix dominates the buffer, amortizing the
-  // memmove over many frames instead of paying it per frame.
-  if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
-    buf_.erase(0, pos_);
-    pos_ = 0;
+  // Nothing to copy, or the stream is dead and buffers no more.
+  if (data.empty() || !error_.ok()) return;
+  const std::span<char> space = PrepareWrite(data.size());
+  std::memcpy(space.data(), data.data(), data.size());
+  CommitWrite(data.size());
+}
+
+std::span<char> FrameReader::PrepareWrite(std::size_t n) {
+  if (!error_.ok()) size_ = pos_ = 0;  // dead stream: scratch space only
+  const std::size_t live = size_ - pos_;
+  // Once the next frame's header is in, make room for all of it, so a large
+  // frame is read in as few recv() calls as the socket allows and the
+  // buffer grows once instead of doubling its way up.
+  if (live >= kFrameHeaderBytes) {
+    const std::size_t frame = kFrameHeaderBytes + ReadU32Le(buf_.get() + pos_);
+    if (frame <= kFrameHeaderBytes + max_frame_bytes_ && frame > live) {
+      n = std::max(n, frame - live);
+    }
   }
-  buf_.append(data.data(), data.size());
+  if (capacity_ - size_ >= n) return {buf_.get() + size_, capacity_ - size_};
+  if (capacity_ - live >= n) {
+    // Slide the unread bytes to the front. Off a socket that is one partial
+    // frame, and the hint above left room for all of it: it moves once.
+    std::memmove(buf_.get(), buf_.get() + pos_, live);
+  } else {
+    const std::size_t grown = std::max(live + n, capacity_ * 2);
+    auto bigger = std::make_unique_for_overwrite<char[]>(grown);
+    if (live > 0) std::memcpy(bigger.get(), buf_.get() + pos_, live);
+    buf_ = std::move(bigger);
+    capacity_ = grown;
+  }
+  pos_ = 0;
+  size_ = live;
+  return {buf_.get() + size_, capacity_ - size_};
+}
+
+void FrameReader::CommitWrite(std::size_t k) {
+  if (!error_.ok()) return;
+  size_ += std::min(k, capacity_ - size_);
 }
 
 Status FrameReader::Next(Message* msg, bool* complete) {
   *complete = false;
   if (!error_.ok()) return error_;
-  if (buf_.size() - pos_ < kFrameHeaderBytes) return Status::OK();
-  const std::uint32_t payload_len = ReadU32Le(buf_.data() + pos_);
+  if (size_ - pos_ < kFrameHeaderBytes) return Status::OK();
+  const std::uint32_t payload_len = ReadU32Le(buf_.get() + pos_);
   if (payload_len > max_frame_bytes_) {
     error_ = Status::Corruption("frame length exceeds maximum");
     return error_;
   }
-  if (buf_.size() - pos_ - kFrameHeaderBytes < payload_len) return Status::OK();
-  const std::string_view payload(buf_.data() + pos_ + kFrameHeaderBytes,
+  if (size_ - pos_ - kFrameHeaderBytes < payload_len) return Status::OK();
+  const std::string_view payload(buf_.get() + pos_ + kFrameHeaderBytes,
                                  payload_len);
   Status st = DecodeEnvelope(payload, msg);
   if (!st.ok()) {
@@ -110,10 +142,7 @@ Status FrameReader::Next(Message* msg, bool* complete) {
     return error_;
   }
   pos_ += kFrameHeaderBytes + payload_len;
-  if (pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  }
+  if (pos_ == size_) pos_ = size_ = 0;  // keep the capacity
   *complete = true;
   return Status::OK();
 }

@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <span>
 #include <utility>
 
 namespace hotman::net {
@@ -106,7 +107,6 @@ Status RemoteClient::SendFrame(const Message& msg) {
 
 Result<Message> RemoteClient::WaitForAck(const char* ack_type,
                                          std::uint64_t req, Micros deadline) {
-  char buf[65536];
   while (true) {
     // Drain whatever is already buffered before touching the socket.
     while (true) {
@@ -124,9 +124,11 @@ Result<Message> RemoteClient::WaitForAck(const char* ack_type,
     const int ready = PollOne(fd_, POLLIN, deadline);
     if (ready < 0 && errno == EINTR) continue;
     if (ready <= 0) return Status::Timeout("no ack from server");
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    // recv() straight into the reader's buffer: no bounce copy.
+    const std::span<char> space = reader_.PrepareWrite(kReadChunkBytes);
+    const ssize_t n = ::recv(fd_, space.data(), space.size(), 0);
     if (n > 0) {
-      reader_.Append(std::string_view(buf, static_cast<std::size_t>(n)));
+      reader_.CommitWrite(static_cast<std::size_t>(n));
       continue;
     }
     if (n == 0) return Status::NotConnected("server closed connection");

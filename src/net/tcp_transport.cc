@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "bson/codec.h"
@@ -126,6 +127,7 @@ void TcpTransport::Stop() {
   }
   conns_.clear();
   conns_by_peer_.clear();
+  flush_list_.clear();
   timers_.clear();
   timer_deadline_.clear();
   {
@@ -282,6 +284,7 @@ void TcpTransport::LoopMain() {
       if (tick_hook_) tick_hook_();
     }
     RunDueTimers();
+    FlushListed();
   }
 }
 
@@ -394,52 +397,87 @@ void TcpTransport::FinishConnect(Conn* conn) {
 }
 
 void TcpTransport::HandleWritable(Conn* conn) {
-  const int fd = conn->fd;
   if (conn->connecting) {
+    const int fd = conn->fd;
     FinishConnect(conn);  // may destroy conn on failure
     if (conns_.find(fd) == conns_.end()) return;
   }
+  Flush(conn);
+}
+
+void TcpTransport::Flush(Conn* conn) {
+  std::uint64_t syscalls = 0;
+  bool failed = false;
+  bool progressed = false;
   while (conn->outbuf_off < conn->outbuf.size()) {
+    ++syscalls;
     const ssize_t n =
         ::send(conn->fd, conn->outbuf.data() + conn->outbuf_off,
                conn->outbuf.size() - conn->outbuf_off, MSG_NOSIGNAL);
     if (n > 0) {
       conn->outbuf_off += static_cast<std::size_t>(n);
-      conn->last_write_progress = NowMicros();
+      progressed = true;
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
+    failed = true;
+    break;
+  }
+  if (syscalls > 0) {
+    MutexLock lock(&stats_mu_);
+    stats_.write_syscalls += syscalls;
+  }
+  if (failed) {
     CloseConn(conn, /*failed=*/false, "write error");
     return;
   }
+  if (progressed) conn->last_write_progress = NowMicros();
   if (conn->outbuf_off >= conn->outbuf.size()) {
-    conn->outbuf.clear();
+    conn->outbuf.clear();  // keeps the capacity for the next burst
     conn->outbuf_off = 0;
-    UpdateEpoll(conn);
   }
+  UpdateEpoll(conn);
+}
+
+void TcpTransport::FlushListed() {
+  for (const int fd : flush_list_) {
+    auto it = conns_.find(fd);
+    // Closed since it was listed, or the fd now belongs to a newer
+    // connection that is listed on its own (or has nothing queued).
+    if (it == conns_.end() || !it->second->flush_listed) continue;
+    it->second->flush_listed = false;
+    Flush(it->second.get());  // closes only its own connection
+  }
+  flush_list_.clear();
 }
 
 void TcpTransport::HandleReadable(Conn* conn) {
-  const int fd = conn->fd;
-  char buf[65536];
   while (true) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn->reader.Append(std::string_view(buf, static_cast<std::size_t>(n)));
-      conn->last_read_at = NowMicros();
-      if (n < static_cast<ssize_t>(sizeof(buf))) break;
-      continue;
-    }
+    // recv() straight into the reader's buffer: no bounce copy.
+    const std::span<char> space = conn->reader.PrepareWrite(kReadChunkBytes);
+    const ssize_t n = ::recv(conn->fd, space.data(), space.size(), 0);
     if (n == 0) {
       CloseConn(conn, /*failed=*/false, "peer closed");
       return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    CloseConn(conn, /*failed=*/false, "read error");
-    return;
+    if (n < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+      if (errno == EINTR) continue;
+      CloseConn(conn, /*failed=*/false, "read error");
+      return;
+    }
+    conn->reader.CommitWrite(static_cast<std::size_t>(n));
+    conn->last_read_at = NowMicros();
+    if (!DeliverFrames(conn)) return;
+    // A short read drained the socket; level-triggered epoll reports any
+    // bytes that arrive later.
+    if (static_cast<std::size_t>(n) < space.size()) return;
   }
+}
+
+bool TcpTransport::DeliverFrames(Conn* conn) {
+  const int fd = conn->fd;
   while (true) {
     Message msg;
     bool complete = false;
@@ -449,9 +487,9 @@ void TcpTransport::HandleReadable(Conn* conn) {
       HOTMAN_LOG(kWarn) << "corrupt frame from fd " << conn->fd << ": "
                         << st.ToString();
       CloseConn(conn, /*failed=*/false, "corrupt frame");
-      return;
+      return false;
     }
-    if (!complete) break;
+    if (!complete) return true;
     const std::size_t wire_bytes = before - conn->reader.buffered_bytes();
     if (conn->name.empty() && !msg.from.empty()) {
       // Inbound connections announce their identity with their first frame;
@@ -460,7 +498,7 @@ void TcpTransport::HandleReadable(Conn* conn) {
       conns_by_peer_.emplace(conn->name, conn);
     }
     DeliverLocally(msg, wire_bytes);
-    if (conns_.find(fd) == conns_.end()) return;  // handler closed us
+    if (conns_.find(fd) == conns_.end()) return false;  // handler closed us
   }
 }
 
@@ -532,27 +570,38 @@ void TcpTransport::SendOnLoop(Message msg) {
       return;
     }
   }
-  std::string frame;
-  EncodeFrame(msg, &frame);
-  const std::size_t queued = conn->outbuf.size() - conn->outbuf_off;
-  if (queued + frame.size() > config_.max_outbound_queue_bytes) {
-    MutexLock lock(&stats_mu_);
-    ++stats_.frames_dropped;
-    ++stats_.dropped_backpressure;
-    return;
-  }
   // Compact the consumed prefix before growing (bounded by the watermark).
   if (conn->outbuf_off > 0 && conn->outbuf_off * 2 > conn->outbuf.size()) {
     conn->outbuf.erase(0, conn->outbuf_off);
     conn->outbuf_off = 0;
   }
-  conn->outbuf += frame;
+  // Encode straight into the connection's buffer. A frame that would cross
+  // the watermark is rolled back whole, so no partial frame is ever queued.
+  const std::size_t old_size = conn->outbuf.size();
+  const std::size_t queued = old_size - conn->outbuf_off;
+  EncodeFrame(msg, &conn->outbuf);
+  const std::size_t frame_bytes = conn->outbuf.size() - old_size;
+  if (queued + frame_bytes > config_.max_outbound_queue_bytes) {
+    conn->outbuf.resize(old_size);
+    MutexLock lock(&stats_mu_);
+    ++stats_.frames_dropped;
+    ++stats_.dropped_backpressure;
+    return;
+  }
+  // Bytes landing in an empty buffer start the stall clock: an idle link's
+  // last send() is no measure of how long this frame has waited.
+  if (queued == 0) conn->last_write_progress = msg.sent_at;
   {
     MutexLock lock(&stats_mu_);
     ++stats_.frames_sent;
-    stats_.bytes_sent += frame.size();
+    stats_.bytes_sent += frame_bytes;
   }
-  UpdateEpoll(conn);
+  // Under backpressure (EPOLLOUT armed, which includes a connect in
+  // flight) the writable event flushes; otherwise the end of this turn does.
+  if (!conn->epollout_armed && !conn->flush_listed) {
+    conn->flush_listed = true;
+    flush_list_.push_back(conn->fd);
+  }
 }
 
 TcpTransport::Conn* TcpTransport::ConnectTo(const std::string& name,
@@ -588,8 +637,11 @@ TcpTransport::Conn* TcpTransport::ConnectTo(const std::string& name,
   conn->established = (rc == 0);
   conn->connect_started = NowMicros();
   conn->last_read_at = conn->last_write_progress = conn->connect_started;
+  // EPOLLOUT reports the end of a connect in flight; frames queued before
+  // then leave on that event.
+  conn->epollout_armed = conn->connecting;
   epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLOUT;
+  ev.events = EPOLLIN | (conn->connecting ? EPOLLOUT : 0u);
   ev.data.fd = fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
   conns_.emplace(fd, std::move(owned));
@@ -636,13 +688,18 @@ void TcpTransport::CloseConn(Conn* conn, bool failed, const char* why) {
 }
 
 void TcpTransport::UpdateEpoll(Conn* conn) {
+  const bool want_out =
+      conn->connecting || conn->outbuf_off < conn->outbuf.size();
+  if (want_out == conn->epollout_armed) return;  // interest set unchanged
+  conn->epollout_armed = want_out;
   epoll_event ev{};
-  ev.events = EPOLLIN;
-  if (conn->connecting || conn->outbuf_off < conn->outbuf.size()) {
-    ev.events |= EPOLLOUT;
-  }
+  ev.events = EPOLLIN | (want_out ? EPOLLOUT : 0u);
   ev.data.fd = conn->fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+  if (want_out) {
+    MutexLock lock(&stats_mu_);
+    ++stats_.epollout_arms;
+  }
 }
 
 void TcpTransport::Housekeeping() {
@@ -659,7 +716,9 @@ void TcpTransport::Housekeeping() {
       CloseConn(conn, /*failed=*/true, "connect timeout");
       continue;
     }
-    if (conn->established && conn->outbuf_off < conn->outbuf.size() &&
+    // A stall is judged only under backpressure: bytes queued this turn
+    // have not had their flush yet, whatever the clock says.
+    if (conn->established && conn->epollout_armed &&
         now - conn->last_write_progress > config_.write_stall_timeout) {
       CloseConn(conn, /*failed=*/false, "write stalled");
       continue;
@@ -697,6 +756,8 @@ void TcpTransport::ExportStats(metrics::Registry* registry) const {
       ->Increment(stats_.connections_closed);
   registry->counter("net.posts_dropped_stopped")
       ->Increment(stats_.posts_dropped_stopped);
+  registry->counter("net.write_syscalls")->Increment(stats_.write_syscalls);
+  registry->counter("net.epollout_arms")->Increment(stats_.epollout_arms);
   registry->gauge("net.connections_open")->Set(stats_.connections_open);
   for (const auto& [type, hist] : stats_.latency_by_type) {
     registry->histogram("net.frame_latency." + type)->MergeFrom(hist);

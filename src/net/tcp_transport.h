@@ -137,11 +137,15 @@ class TcpTransport : public Transport {
     bool inbound = false;
     bool connecting = false;   ///< non-blocking connect() still in flight
     bool established = false;
+    bool epollout_armed = false;  ///< EPOLLOUT is in the epoll interest set
+    bool flush_listed = false;    ///< on flush_list_ for this loop turn
     FrameReader reader;
     std::string outbuf;        ///< pending wire bytes (bounded)
     std::size_t outbuf_off = 0;
     Micros connect_started = 0;
     Micros last_read_at = 0;
+    /// Stall clock: stamped when bytes land in an empty outbuf and on every
+    /// send() that makes progress.
     Micros last_write_progress = 0;
   };
 
@@ -160,7 +164,15 @@ class TcpTransport : public Transport {
   void HandleListenReady();
   void HandleConnEvent(int fd, std::uint32_t events);
   void HandleReadable(Conn* conn);
+  /// Decodes and delivers every complete frame buffered on `conn`. False
+  /// when the connection was closed meanwhile (corrupt frame, or a handler).
+  bool DeliverFrames(Conn* conn);
   void HandleWritable(Conn* conn);
+  /// Writes `conn`'s outbuf until it is empty or the socket would block,
+  /// then arms or disarms EPOLLOUT to match. May close `conn`.
+  void Flush(Conn* conn);
+  /// Flushes every connection SendOnLoop listed during this loop turn.
+  void FlushListed();
   void FinishConnect(Conn* conn);
   /// Starts accepting on the listener (idempotent; no-op without one).
   void ArmListener();
@@ -192,6 +204,9 @@ class TcpTransport : public Transport {
   std::map<std::string, PeerState> peers_;
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;           // by fd
   std::unordered_map<std::string, Conn*> conns_by_peer_;
+  /// Connections with frames queued this turn, by fd; flushed once at the
+  /// end of the turn so a burst of frames leaves in one send() batch.
+  std::vector<int> flush_list_;
   std::map<std::pair<Micros, TimerId>, std::function<void()>> timers_;
   std::unordered_map<TimerId, Micros> timer_deadline_;
 
@@ -227,6 +242,8 @@ class TcpTransport : public Transport {
     std::uint64_t connections_failed = 0;
     std::uint64_t connections_closed = 0;
     std::uint64_t posts_dropped_stopped = 0;
+    std::uint64_t write_syscalls = 0;  ///< send() calls on connections
+    std::uint64_t epollout_arms = 0;   ///< EPOLLOUT armed for backpressure
     std::int64_t connections_open = 0;
     std::map<std::string, metrics::Histogram> latency_by_type;
   };

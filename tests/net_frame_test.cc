@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +37,19 @@ Message MakeMessage(int i) {
   msg.body.Append("req", bson::Value(static_cast<std::int64_t>(i)));
   msg.body.Append("key", bson::Value(std::string(i % 37, 'k')));
   return msg;
+}
+
+/// Feeds `chunk` to the reader the way a socket does: recv() into the span
+/// PrepareWrite hands out, then CommitWrite. Or through Append's copy.
+void Feed(FrameReader* reader, std::string_view chunk, bool in_place) {
+  if (!in_place) {
+    reader->Append(chunk);
+    return;
+  }
+  const std::span<char> space = reader->PrepareWrite(chunk.size());
+  ASSERT_GE(space.size(), chunk.size());
+  std::memcpy(space.data(), chunk.data(), chunk.size());
+  reader->CommitWrite(chunk.size());
 }
 
 void ExpectEqual(const Message& a, const Message& b) {
@@ -80,32 +96,35 @@ TEST(FrameCodecTest, EmptyBodyAndMissingOptionalFields) {
 
 TEST(FrameCodecTest, ManyFramesSplitAtEveryChunkSize) {
   // Property: however the stream is sliced, the reader yields the same
-  // message sequence. Chunk sizes 1..17 cover header splits, payload
-  // splits and multi-frame chunks.
+  // message sequence, copied in by Append or read in place. Chunk sizes
+  // 1..17 cover header splits, payload splits and multi-frame chunks.
   std::string wire;
   std::vector<Message> inputs;
   for (int i = 0; i < 20; ++i) {
     inputs.push_back(MakeMessage(i));
     EncodeFrame(inputs.back(), &wire);
   }
-  for (std::size_t chunk = 1; chunk <= 17; ++chunk) {
-    FrameReader reader;
-    std::vector<Message> outputs;
-    for (std::size_t off = 0; off < wire.size(); off += chunk) {
-      reader.Append(std::string_view(wire).substr(off, chunk));
-      while (true) {
-        Message msg;
-        bool complete = false;
-        ASSERT_TRUE(reader.Next(&msg, &complete).ok());
-        if (!complete) break;
-        outputs.push_back(std::move(msg));
+  for (const bool in_place : {false, true}) {
+    for (std::size_t chunk = 1; chunk <= 17; ++chunk) {
+      FrameReader reader;
+      std::vector<Message> outputs;
+      for (std::size_t off = 0; off < wire.size(); off += chunk) {
+        Feed(&reader, std::string_view(wire).substr(off, chunk), in_place);
+        while (true) {
+          Message msg;
+          bool complete = false;
+          ASSERT_TRUE(reader.Next(&msg, &complete).ok());
+          if (!complete) break;
+          outputs.push_back(std::move(msg));
+        }
       }
+      ASSERT_EQ(outputs.size(), inputs.size())
+          << "chunk=" << chunk << " in_place=" << in_place;
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        ExpectEqual(inputs[i], outputs[i]);
+      }
+      EXPECT_EQ(reader.buffered_bytes(), 0u);
     }
-    ASSERT_EQ(outputs.size(), inputs.size()) << "chunk=" << chunk;
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      ExpectEqual(inputs[i], outputs[i]);
-    }
-    EXPECT_EQ(reader.buffered_bytes(), 0u);
   }
 }
 
@@ -117,13 +136,14 @@ TEST(FrameCodecTest, RandomizedSplitsRoundTrip) {
     inputs.push_back(MakeMessage(i));
     EncodeFrame(inputs.back(), &wire);
   }
-  for (int trial = 0; trial < 20; ++trial) {
+  for (int trial = 0; trial < 40; ++trial) {
+    const bool in_place = (trial % 2) == 1;
     FrameReader reader;
     std::size_t delivered = 0;
     std::size_t off = 0;
     while (off < wire.size()) {
       const std::size_t chunk = 1 + rng.Uniform(64);
-      reader.Append(std::string_view(wire).substr(off, chunk));
+      Feed(&reader, std::string_view(wire).substr(off, chunk), in_place);
       off += chunk;
       while (true) {
         Message msg;
@@ -167,6 +187,65 @@ TEST(FrameCodecTest, OversizedLengthPrefixIsStickyCorruption) {
   EncodeFrame(MakeMessage(1), &good);
   reader.Append(good);
   EXPECT_TRUE(reader.Next(&msg, &complete).IsCorruption());
+}
+
+TEST(FrameCodecTest, OversizedLengthPrefixIsStickyInPlace) {
+  FrameReader reader(/*max_frame_bytes=*/1024);
+  std::string wire;
+  AppendU32Le(&wire, 16u * 1024 * 1024);
+  Feed(&reader, wire, /*in_place=*/true);
+  // The oversized header is no hint to reserve 16 MiB for.
+  EXPECT_LT(reader.capacity(), 1024u);
+  Message msg;
+  bool complete = false;
+  EXPECT_TRUE(reader.Next(&msg, &complete).IsCorruption());
+  std::string good;
+  EncodeFrame(MakeMessage(1), &good);
+  Feed(&reader, good, /*in_place=*/true);
+  EXPECT_EQ(reader.buffered_bytes(), 0u);  // a dead stream buffers nothing
+  EXPECT_TRUE(reader.Next(&msg, &complete).IsCorruption());
+}
+
+TEST(FrameCodecTest, BufferGrownForLargeFrameServesSmallFrames) {
+  // A 600 KB frame arrives in socket-sized reads, then small frames follow
+  // through the same (kept, not shrunk) buffer.
+  Message big = MakeMessage(0);
+  big.body.Append("val", bson::Value(std::string(600 * 1000, 'v')));
+  std::string wire;
+  EncodeFrame(big, &wire);
+  std::vector<Message> smalls;
+  for (int i = 1; i <= 30; ++i) {
+    smalls.push_back(MakeMessage(i));
+    EncodeFrame(smalls.back(), &wire);
+  }
+  FrameReader reader;
+  std::vector<Message> outputs;
+  std::size_t off = 0;
+  while (off < wire.size()) {
+    const std::span<char> space = reader.PrepareWrite(kReadChunkBytes);
+    ASSERT_GE(space.size(), kReadChunkBytes);
+    // Short reads of an odd size, so frames straddle every refill.
+    const std::size_t n =
+        std::min<std::size_t>({space.size(), 40000, wire.size() - off});
+    std::memcpy(space.data(), wire.data() + off, n);
+    reader.CommitWrite(n);
+    off += n;
+    while (true) {
+      Message msg;
+      bool complete = false;
+      ASSERT_TRUE(reader.Next(&msg, &complete).ok());
+      if (!complete) break;
+      outputs.push_back(std::move(msg));
+    }
+  }
+  ASSERT_EQ(outputs.size(), 1 + smalls.size());
+  ExpectEqual(big, outputs[0]);
+  EXPECT_EQ(outputs[0].body.Get("val")->as_string().size(), 600u * 1000);
+  for (std::size_t i = 0; i < smalls.size(); ++i) {
+    ExpectEqual(smalls[i], outputs[1 + i]);
+  }
+  EXPECT_EQ(reader.buffered_bytes(), 0u);
+  EXPECT_GE(reader.capacity(), 600u * 1000);
 }
 
 TEST(FrameCodecTest, GarbagePayloadIsCorruption) {

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -304,6 +305,152 @@ TEST(TcpTransportTest, StopIsIdempotentAndSendsAfterStopAreSafe) {
   transport.Stop();
   transport.Send(Make("a", "b", "late"));  // runs inline; counted as drop
   EXPECT_GE(CounterValue(transport, "net.frames_dropped"), 1u);
+}
+
+/// A server transport with a mailbox endpoint "srv" and a client transport
+/// whose link to it is already established (one ping delivered).
+struct LinkedPair {
+  explicit LinkedPair(TcpTransportConfig client_config = {}) {
+    TcpTransportConfig server_config;
+    server_config.listen_port = 0;
+    server = std::make_unique<TcpTransport>(server_config);
+    EXPECT_TRUE(server->Start().ok());
+    server->RegisterEndpoint("srv", inbox.AsHandler());
+    client_config.listen_port = -1;
+    client_config.peers["srv"] = TcpPeer{"127.0.0.1", server->listen_port()};
+    client = std::make_unique<TcpTransport>(client_config);
+    EXPECT_TRUE(client->Start().ok());
+    client->Send(Make("cli", "srv", "ping", -1));
+    linked = WaitUntil([&] { return inbox.count() >= 1; });
+  }
+  ~LinkedPair() {
+    client->Stop();
+    server->Stop();
+  }
+
+  Mailbox inbox;
+  std::unique_ptr<TcpTransport> server;
+  std::unique_ptr<TcpTransport> client;
+  bool linked = false;
+};
+
+TEST(TcpTransportTest, BurstOfFramesLeavesInOneFlush) {
+  LinkedPair pair;
+  ASSERT_TRUE(pair.linked);
+  TcpTransport& client = *pair.client;
+  const std::uint64_t writes_before = CounterValue(client, "net.write_syscalls");
+
+  // One loop turn queues 200 frames; the end-of-turn flush writes them all.
+  constexpr int kFrames = 200;
+  client.Post([&client] {
+    for (int i = 0; i < kFrames; ++i) client.Send(Make("cli", "srv", "small", i));
+  });
+  ASSERT_TRUE(WaitUntil([&] { return pair.inbox.count() >= 1 + kFrames; }));
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(pair.inbox.at(1 + i).body.Get("seq")->as_int64(), i);
+  }
+  const std::uint64_t writes =
+      CounterValue(client, "net.write_syscalls") - writes_before;
+  EXPECT_GE(writes, 1u);
+  EXPECT_LE(writes, 2u);
+  EXPECT_EQ(CounterValue(client, "net.epollout_arms"), 0u);
+}
+
+TEST(TcpTransportTest, StalledPeerArmsEpolloutAndRollsBackWholeFrames) {
+  TcpTransportConfig client_config;
+  client_config.max_outbound_queue_bytes = 256 * 1024;
+  LinkedPair pair(client_config);
+  ASSERT_TRUE(pair.linked);
+  TcpTransport& client = *pair.client;
+
+  // The peer stops reading: its loop blocks in a posted op until released
+  // (or a deadline, so a failing test still tears down).
+  std::atomic<bool> blocked{false};
+  std::atomic<bool> release{false};
+  pair.server->Post([&] {
+    blocked = true;
+    const auto deadline = std::chrono::steady_clock::now() + 20s;
+    while (!release && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+  struct Releaser {
+    std::atomic<bool>* flag;
+    ~Releaser() { *flag = true; }
+  } releaser{&release};
+  ASSERT_TRUE(WaitUntil([&] { return blocked.load(); }));
+
+  // Rounds of 64 x 16 KiB frames, each queued in one loop turn: every round
+  // crosses the 256 KiB watermark, so frames are dropped from the first
+  // round on. EPOLLOUT is armed once the kernel's socket buffers (several
+  // MiB on loopback) are full too.
+  const std::string pad(16 * 1024, 'x');
+  int sent = 0;
+  for (int round = 0; round < 64; ++round) {
+    client.Post([&client, &pad, first = sent] {
+      for (int i = 0; i < 64; ++i) {
+        Message msg = Make("cli", "srv", "bulk", first + i);
+        msg.body.Append("pad", bson::Value(pad));
+        client.Send(std::move(msg));
+      }
+    });
+    sent += 64;
+    if (WaitUntil([&] { return CounterValue(client, "net.epollout_arms") > 0; },
+                  50)) {
+      break;
+    }
+  }
+  ASSERT_GT(CounterValue(client, "net.epollout_arms"), 0u);
+  // Every posted frame is either queued (frames_sent, less the ping) or
+  // dropped and counted.
+  std::uint64_t accepted = 0;
+  ASSERT_TRUE(WaitUntil([&] {
+    accepted = CounterValue(client, "net.frames_sent") - 1;
+    return accepted + CounterValue(client, "net.dropped_backpressure") ==
+           static_cast<std::uint64_t>(sent);
+  }));
+  EXPECT_GT(CounterValue(client, "net.dropped_backpressure"), 0u);
+
+  // The peer reads again: every accepted frame arrives whole and in order.
+  release = true;
+  ASSERT_TRUE(WaitUntil([&] { return pair.inbox.count() >= 1 + accepted; },
+                        10000));
+  std::int64_t last_seq = -1;
+  for (std::size_t i = 1; i <= accepted; ++i) {
+    const std::int64_t seq = pair.inbox.at(i).body.Get("seq")->as_int64();
+    EXPECT_GT(seq, last_seq);
+    last_seq = seq;
+  }
+  // Drained, so EPOLLOUT is off again and nothing was closed as corrupt or
+  // stalled on either side.
+  ASSERT_TRUE(WaitUntil([&] {
+    client.Send(Make("cli", "srv", "after", 0));
+    return pair.inbox.count() >= 2 + accepted;
+  }));
+  EXPECT_EQ(CounterValue(*pair.server, "net.connections_closed"), 0u);
+  EXPECT_EQ(CounterValue(client, "net.connections_closed"), 0u);
+}
+
+TEST(TcpTransportTest, FrameQueuedAfterIdleIsNotClosedAsStalled) {
+  TcpTransportConfig client_config;
+  client_config.write_stall_timeout = kMicrosPerSecond;
+  LinkedPair pair(client_config);
+  ASSERT_TRUE(pair.linked);
+  TcpTransport& client = *pair.client;
+
+  // Idle for longer than the stall timeout: the last send() is old news.
+  std::this_thread::sleep_for(1500ms);
+  // The op queues one frame and then holds the loop for longer than the
+  // 200 ms housekeeping period, so housekeeping is due in the same turn,
+  // before the frame's flush. The frame has waited 300 ms, not 1.5 s: the
+  // link must not be judged stalled.
+  client.Post([&client] {
+    client.Send(Make("cli", "srv", "late", 1));
+    std::this_thread::sleep_for(300ms);
+  });
+  ASSERT_TRUE(WaitUntil([&] { return pair.inbox.count() >= 2; }));
+  EXPECT_EQ(pair.inbox.at(1).type, "late");
+  EXPECT_EQ(CounterValue(client, "net.connections_closed"), 0u);
 }
 
 // Conservation law for Post() racing Stop(): every closure either runs or
