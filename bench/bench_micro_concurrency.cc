@@ -9,7 +9,6 @@
 // `cores` field records what the run actually had. On a single-core host
 // every multi-threaded arm degenerates to ~1x (plus scheduling overhead).
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -25,7 +24,6 @@
 #include "common/clock.h"
 #include "common/mutex.h"
 #include "docstore/collection.h"
-#include "net/sharded_executor.h"
 
 namespace hotman {
 namespace {
@@ -109,121 +107,6 @@ double MeasureOpsPerSec(int threads, std::chrono::milliseconds window,
   return seconds > 0 ? static_cast<double>(total) / seconds : 0.0;
 }
 
-// --- shard-per-core reactors ------------------------------------------------
-
-struct ShardedReadResult {
-  double ops_per_sec = 0.0;
-  std::uint64_t cross_posts = 0;
-};
-
-/// Reads through a shard-per-core runtime: `shards` reactor threads, each
-/// owning a disjoint partition of the keyspace, each running
-/// `chains_per_shard` self-rescheduling read chains entirely inside its own
-/// shard context (the steady state of a node where every keyed request was
-/// routed home). shards=1 is the "before" arm: the whole keyspace behind
-/// one reactor.
-ShardedReadResult MeasureShardedReads(int shards, int chains_per_shard,
-                                      std::chrono::milliseconds window,
-                                      bson::ObjectIdGenerator* gen) {
-  // Shard s owns global docs {s, s+S, s+2S, ...}: trivially balanced.
-  std::vector<std::unique_ptr<docstore::Collection>> parts;
-  std::vector<int> part_docs(static_cast<std::size_t>(shards), 0);
-  parts.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    parts.push_back(std::make_unique<docstore::Collection>(
-        "bench_s" + std::to_string(s), gen));
-  }
-  for (int i = 0; i < kDocs; ++i) {
-    parts[static_cast<std::size_t>(i % shards)]->Insert(MakeDoc(i)).ok();
-    ++part_docs[static_cast<std::size_t>(i % shards)];
-  }
-
-  net::ShardedExecutorConfig cfg;
-  cfg.shards = shards;
-  cfg.threaded = true;
-  net::ShardedExecutor sharded(static_cast<net::Executor*>(nullptr), cfg);
-  if (!sharded.Launch().ok()) return {};
-
-  std::atomic<bool> stop{false};
-  std::vector<std::atomic<std::uint64_t>> counts(
-      static_cast<std::size_t>(shards));
-  for (auto& c : counts) c.store(0);
-
-  for (int s = 0; s < shards; ++s) {
-    for (int chain = 0; chain < chains_per_shard; ++chain) {
-      auto body = std::make_shared<std::function<void()>>();
-      auto rng = std::make_shared<std::uint64_t>(
-          0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(
-                                      s * chains_per_shard + chain + 1));
-      *body = [&sharded, &stop, &counts, &parts, &part_docs, s, body, rng] {
-        if (stop.load(std::memory_order_relaxed)) return;
-        *rng = *rng * 6364136223846793005ull + 1442695040888963407ull;
-        const int local = static_cast<int>(
-            (*rng >> 33) % static_cast<std::uint64_t>(
-                               part_docs[static_cast<std::size_t>(s)]));
-        const int shard_count = static_cast<int>(parts.size());
-        parts[static_cast<std::size_t>(s)]
-            ->FindById(Value(DocId(s + local * shard_count)))
-            .ok();
-        counts[static_cast<std::size_t>(s)].fetch_add(
-            1, std::memory_order_relaxed);
-        // Zero-delay reschedule instead of recursion: a same-shard Post
-        // would run inline and overflow the stack.
-        sharded.executor(s)->ScheduleTimer(0, *body);
-      };
-      sharded.Post(s, [body] { (*body)(); });
-    }
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(window);
-  stop.store(true, std::memory_order_relaxed);
-  const auto end = std::chrono::steady_clock::now();
-  sharded.Shutdown();
-
-  std::uint64_t total = 0;
-  for (auto& c : counts) total += c.load();
-  const double seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(end - start)
-          .count();
-  ShardedReadResult result;
-  result.ops_per_sec = seconds > 0 ? static_cast<double>(total) / seconds : 0;
-  result.cross_posts = sharded.cross_posts();
-  return result;
-}
-
-/// Round-trip rate of the SPSC mailbox path: one message ping-ponging
-/// between two reactors, each leg a cross-shard Post. The inverse is the
-/// per-hop latency a mis-routed keyed frame pays.
-double MeasureCrossShardHops(std::chrono::milliseconds window) {
-  net::ShardedExecutorConfig cfg;
-  cfg.shards = 2;
-  cfg.threaded = true;
-  net::ShardedExecutor sharded(static_cast<net::Executor*>(nullptr), cfg);
-  if (!sharded.Launch().ok()) return 0.0;
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> hops{0};
-  auto step = std::make_shared<std::function<void(int)>>();
-  *step = [&sharded, &stop, &hops, step](int me) {
-    if (stop.load(std::memory_order_relaxed)) return;
-    hops.fetch_add(1, std::memory_order_relaxed);
-    sharded.Post(1 - me, [step, me] { (*step)(1 - me); });
-  };
-  sharded.Post(0, [step] { (*step)(0); });
-
-  const auto start = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(window);
-  stop.store(true, std::memory_order_relaxed);
-  const auto end = std::chrono::steady_clock::now();
-  sharded.Shutdown();
-
-  const double seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(end - start)
-          .count();
-  return seconds > 0 ? static_cast<double>(hops.load()) / seconds : 0.0;
-}
-
 }  // namespace
 }  // namespace hotman
 
@@ -231,34 +114,17 @@ int main(int argc, char** argv) {
   using namespace hotman;  // NOLINT(google-build-using-namespace)
 
   bool short_mode = false;
-  int shards = 4;
-  bool shards_explicit = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--short") == 0) short_mode = true;
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
-      shards_explicit = true;
-    }
-  }
-  if (shards < 1 || shards > 64) {
-    std::fprintf(stderr, "--shards must be in [1, 64]\n");
-    return 2;
   }
   const std::chrono::milliseconds window(short_mode ? 60 : 400);
   const unsigned cores = std::thread::hardware_concurrency();
 
-  // An explicit --shards=N run writes its own artifact
-  // (BENCH_micro_concurrency_shards<N>.json) so CI can upload several arms
-  // side by side; the default run keeps the canonical id.
-  const std::string json_id =
-      shards_explicit ? "micro_concurrency_shards" + std::to_string(shards)
-                      : "micro_concurrency";
-
   bench::Header("micro_concurrency",
-                "read-path scaling: shared locks, sharded cache and "
-                "shard-per-core reactors vs single-lock baselines");
-  std::printf("cores=%u window=%lldms shards=%d%s\n", cores,
-              static_cast<long long>(window.count()), shards,
+                "read-path scaling: shared locks and sharded cache vs "
+                "single-lock baselines");
+  std::printf("cores=%u window=%lldms%s\n", cores,
+              static_cast<long long>(window.count()),
               short_mode ? " (short mode)" : "");
 
   ManualClock clock(0);
@@ -269,9 +135,8 @@ int main(int argc, char** argv) {
   // same handshake in both arms, so the delta isolates reader sharing).
   Mutex serial_mu;
 
-  bench::JsonWriter json(json_id);
+  bench::JsonWriter json("micro_concurrency");
   json.Integer("cores", cores);
-  json.Integer("shards", shards);
   json.Integer("docs", kDocs);
   json.Integer("payload_bytes", static_cast<long long>(kPayloadBytes));
   json.Text("mode", short_mode ? "short" : "full");
@@ -381,38 +246,6 @@ int main(int argc, char** argv) {
   json.Number("cache_sharded_speedup_4t",
               cache_sharded_1t > 0 ? cache_sharded_4t / cache_sharded_1t : 0.0,
               2);
-
-  bench::Section("shard-per-core reactors: partitioned reads ops/sec");
-  // Before/after rows: the whole keyspace behind one reactor vs split
-  // across `shards` reactors, same total read chains either way.
-  constexpr int kTotalChains = 8;
-  const int chains_per_shard = std::max(1, kTotalChains / shards);
-  const ShardedReadResult before =
-      MeasureShardedReads(1, kTotalChains, window, &gen);
-  const ShardedReadResult after =
-      MeasureShardedReads(shards, chains_per_shard, window, &gen);
-  const double shard_speedup =
-      before.ops_per_sec > 0 ? after.ops_per_sec / before.ops_per_sec : 0.0;
-  bench::Row({"shards", "ops/sec", "vs 1 shard"});
-  bench::Row({"1", bench::Fmt(before.ops_per_sec, 0), "1.00x"});
-  bench::Row({std::to_string(shards), bench::Fmt(after.ops_per_sec, 0),
-              bench::Fmt(shard_speedup, 2) + "x"});
-  const double hops_per_sec = MeasureCrossShardHops(window);
-  std::printf("cross-shard mailbox round trips: %s hops/sec (%.0f ns/hop)\n",
-              bench::Fmt(hops_per_sec, 0).c_str(),
-              hops_per_sec > 0 ? 1e9 / hops_per_sec : 0.0);
-  if (cores < static_cast<unsigned>(shards)) {
-    std::printf(
-        "NOTE: %d shards on %u core(s): reactor threads time-share, so the "
-        "speedup reflects scheduling overhead, not shard-per-core scaling.\n",
-        shards, cores);
-  }
-  json.Number("sharded_read_1shard_ops_per_sec", before.ops_per_sec, 0);
-  json.Number("sharded_read_" + std::to_string(shards) + "shard_ops_per_sec",
-              after.ops_per_sec, 0);
-  json.Number("sharded_read_speedup_" + std::to_string(shards) + "shard",
-              shard_speedup, 2);
-  json.Number("cross_shard_hops_per_sec", hops_per_sec, 0);
 
   std::printf("\n");
   json.WriteFile();

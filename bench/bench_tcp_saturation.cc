@@ -2,13 +2,11 @@
 // daemons (actual sockets, actual reactor threads), drives a closed-loop
 // 90/10 get/put workload at rising client concurrency, and reports the
 // knee — the concurrency level past which extra clients stop buying
-// throughput. Run at --shards=1 vs --shards=4 to compare the single-reactor
-// node against the shard-per-core one.
+// throughput of the single-reactor node.
 //
 // The daemon binary path comes from $HOTMAND_BIN or --hotmand=PATH (falls
 // back to <this binary's dir>/../tools/hotmand). Emits
-// BENCH_tcp_saturation.json (or BENCH_tcp_saturation_shards<N>.json when
-// --shards is passed explicitly), with the host's core count recorded:
+// BENCH_tcp_saturation.json, with the host's core count recorded:
 // on a single-core host every level time-shares one CPU and the knee
 // arrives immediately — the artifact is still honest, just not a
 // parallelism measurement.
@@ -66,14 +64,13 @@ std::uint16_t PickPort() {
 }
 
 bool Spawn(const std::string& bin, const std::vector<DaemonNode>& all,
-           DaemonNode* node, int shards) {
+           DaemonNode* node) {
   std::vector<std::string> args = {
       bin,
       "--node", node->name,
       "--listen", "127.0.0.1:" + std::to_string(node->port),
       "--seeds", all[0].name,
       "--n", "3", "--w", "2", "--r", "1",
-      "--shards", std::to_string(shards),
       "--gossip-ms", "200",
       "--op-timeout-ms", "1000",
   };
@@ -200,20 +197,10 @@ int main(int argc, char** argv) {
   using namespace hotman;  // NOLINT(google-build-using-namespace)
 
   bool short_mode = false;
-  int shards = 1;
-  bool shards_explicit = false;
   std::string bin = DefaultHotmandPath(argv[0]);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--short") == 0) short_mode = true;
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
-      shards_explicit = true;
-    }
     if (std::strncmp(argv[i], "--hotmand=", 10) == 0) bin = argv[i] + 10;
-  }
-  if (shards < 1 || shards > 64) {
-    std::fprintf(stderr, "--shards must be in [1, 64]\n");
-    return 2;
   }
   if (::access(bin.c_str(), X_OK) != 0) {
     std::fprintf(stderr,
@@ -227,14 +214,11 @@ int main(int argc, char** argv) {
   const std::vector<int> levels =
       short_mode ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8, 16, 32};
   const unsigned cores = std::thread::hardware_concurrency();
-  const std::string json_id =
-      shards_explicit ? "tcp_saturation_shards" + std::to_string(shards)
-                      : "tcp_saturation";
 
   bench::Header("tcp_saturation",
                 "loopback 3-daemon cluster: closed-loop throughput vs client "
                 "concurrency, to the knee");
-  std::printf("cores=%u shards=%d window=%lldms%s\n", cores, shards,
+  std::printf("cores=%u window=%lldms%s\n", cores,
               static_cast<long long>(window.count()),
               short_mode ? " (short mode)" : "");
 
@@ -250,7 +234,7 @@ int main(int argc, char** argv) {
     nodes.push_back(node);
   }
   for (DaemonNode& node : nodes) {
-    if (!Spawn(bin, nodes, &node, shards)) {
+    if (!Spawn(bin, nodes, &node)) {
       std::fprintf(stderr, "failed to spawn %s\n", node.name.c_str());
       KillAll(&nodes, SIGKILL);
       return 1;
@@ -282,9 +266,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::JsonWriter json(json_id);
+  bench::JsonWriter json("tcp_saturation");
   json.Integer("cores", cores);
-  json.Integer("shards", shards);
   json.Integer("nodes", kNodes);
   json.Integer("window_ms", static_cast<long long>(window.count()));
   json.Text("mode", short_mode ? "short" : "full");
@@ -318,8 +301,8 @@ int main(int argc, char** argv) {
               knee_found ? "" : " (never flattened within the sweep)");
   if (cores <= 1) {
     std::printf(
-        "NOTE: single-core host: daemons, reactors and clients time-share "
-        "one CPU, so the knee measures scheduling, not shard scaling.\n");
+        "NOTE: single-core host: daemons and clients time-share one CPU, "
+        "so the knee measures scheduling, not parallelism.\n");
   }
   json.Integer("knee_concurrency", knee_concurrency);
   json.Number("knee_ops_per_sec", knee_ops, 0);

@@ -53,9 +53,6 @@ job_chaos() {
   echo "==> [chaos] chaos_runner --seeds=${seeds} --profile=quorum --read-path=primary --verify"
   ./build-check-default/tools/chaos_runner \
     --seeds="${seeds}" --profile=quorum --read-path=primary --verify --quiet
-  echo "==> [chaos] chaos_runner --seeds=${seeds} --profile=convergence --shards=2 --verify"
-  ./build-check-default/tools/chaos_runner \
-    --seeds="${seeds}" --profile=convergence --shards=2 --verify --quiet
 }
 
 job_coverage() { scripts/coverage.sh; }
@@ -99,15 +96,12 @@ job_hashes() {
     base_primary="--fast-reads"
   fi
   local changed=0 profile flags base_flags
-  for profile in quorum quorum:primary convergence convergence:shards2 \
-                 membership skew; do
+  for profile in quorum quorum:primary convergence membership skew; do
     case "${profile}" in
-      quorum:primary)      flags="--profile=quorum --read-path=primary"
-                           base_flags="--profile=quorum ${base_primary}" ;;
-      convergence:shards2) flags="--profile=convergence --shards=2"
-                           base_flags="${flags}" ;;
-      *)                   flags="--profile=${profile}"
-                           base_flags="${flags}" ;;
+      quorum:primary) flags="--profile=quorum --read-path=primary"
+                      base_flags="--profile=quorum ${base_primary}" ;;
+      *)              flags="--profile=${profile}"
+                      base_flags="${flags}" ;;
     esac
     # shellcheck disable=SC2086  # flags are deliberately word-split
     "${base_bin}" --seeds="${seeds}" ${base_flags} >"${work}/base.txt" || true

@@ -190,7 +190,6 @@ ChaosResult RunChaos(const ChaosOptions& options) {
   config.read_repair = options.read_repair;
   config.read_path = options.read_path;
   config.heat = options.heat;
-  config.shards = options.shards;
   config.anti_entropy = options.anti_entropy;
   config.anti_entropy_interval = 2 * kMicrosPerSecond;
   config.chaos_lying_replica = options.lying_replica;
@@ -281,13 +280,11 @@ ChaosResult RunChaos(const ChaosOptions& options) {
   std::map<std::string, std::vector<std::pair<std::string, bson::Document>>>
       holders;
   for (cluster::StorageNode* node : nodes) {
-    for (int shard = 0; shard < node->num_shards(); ++shard) {
-      auto records = node->StoreOfShard(shard)->AllRecords();  // NOLINT(hotman-shard-affinity) post-run snapshot; the simulated loop is idle
-      if (!records.ok()) continue;
-      for (bson::Document& record : *records) {
-        holders[core::RecordSelfKey(record)].emplace_back(node->id(),
-                                                          std::move(record));
-      }
+    auto records = node->store()->AllRecords();
+    if (!records.ok()) continue;
+    for (bson::Document& record : *records) {
+      holders[core::RecordSelfKey(record)].emplace_back(node->id(),
+                                                        std::move(record));
     }
   }
 

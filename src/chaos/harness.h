@@ -34,12 +34,6 @@ struct ChaosOptions {
   /// checker's full real-time rule set is exactly what proves them safe,
   /// hot-key rotation included.
   cluster::ReadPath read_path = cluster::ReadPath::kQuorum;
-  /// Shards per node (ClusterConfig::shards). The deterministic runtime
-  /// multiplexes every shard onto the node's simulated transport, so a
-  /// multi-shard sweep replays bit-identically per seed — this exists to
-  /// prove the shard-per-core partitioning preserves every consistency
-  /// property, not to model speedup.
-  int shards = 1;
   /// Heat-sketch thresholds for the hot plan. The defaults flag nothing at
   /// chaos traffic rates (a few ops/sec); SkewProfile lowers them so the
   /// Zipf head actually trips the fan-out under the nemesis.

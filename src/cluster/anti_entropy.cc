@@ -9,12 +9,6 @@
 // ahead on. Last-write-wins at the replica store keeps the exchange
 // idempotent and convergent (a flat digest here; Merkle trees would be the
 // production-scale summary).
-//
-// The whole protocol is shard-0 (system shard) work: it reads the master
-// ring and failure detector directly, and it scans the per-shard store
-// partitions without a mailbox hop — safe because the docstore serializes
-// collection access internally and anti-entropy only needs point-in-time
-// snapshots, never the owning shard's coordinator state.
 
 #include "cluster/storage_node.h"
 
@@ -39,7 +33,7 @@ void StorageNode::StartAntiEntropyTimer() {
 
 std::vector<bson::Document> StorageNode::SharedRecords(const std::string& peer) {
   std::vector<bson::Document> shared;
-  for (bson::Document& record : AllShardRecords()) {
+  for (bson::Document& record : LocalRecords()) {
     const std::string key = core::RecordSelfKey(record);
     bool self_in = false, peer_in = false;
     for (const std::string& member :
@@ -53,7 +47,7 @@ std::vector<bson::Document> StorageNode::SharedRecords(const std::string& peer) 
 }
 
 void StorageNode::RunAntiEntropyRound(const std::string& peer) {
-  ++shards_[0]->stats.ae_rounds;
+  ++stats_.ae_rounds;
   AeDigestMsg digest;
   for (const bson::Document& record : SharedRecords(peer)) {
     digest.entries.push_back(AeDigestEntry{core::RecordSelfKey(record),
@@ -72,7 +66,7 @@ void StorageNode::HandleAeDigest(const net::Message& msg) {
   std::set<std::string> mentioned;
   for (const AeDigestEntry& entry : digest->entries) {
     mentioned.insert(entry.key);
-    auto local = StoreForKey(entry.key)->GetByKey(entry.key);  // NOLINT(hotman-shard-affinity) docstore-locked snapshot read from the system shard
+    auto local = store_->GetByKey(entry.key);
     if (!local.ok()) {
       // We are missing the record entirely: pull it.
       request.keys.push_back(entry.key);
@@ -93,7 +87,7 @@ void StorageNode::HandleAeDigest(const net::Message& msg) {
       push.req = 0;
       push.record = core::AsReplicaCopy(*local);
       SendToNode(msg.from, kMsgPutReplica, EncodePutReplica(push));
-      ++shards_[0]->stats.ae_pushed;
+      ++stats_.ae_pushed;
     }
   }
   // Records we hold that the digest never mentioned (the sender lost or
@@ -104,7 +98,7 @@ void StorageNode::HandleAeDigest(const net::Message& msg) {
     push.req = 0;
     push.record = core::AsReplicaCopy(record);
     SendToNode(msg.from, kMsgPutReplica, EncodePutReplica(push));
-    ++shards_[0]->stats.ae_pushed;
+    ++stats_.ae_pushed;
   }
   if (!request.keys.empty()) {
     SendToNode(msg.from, kMsgAeRequest, EncodeAeRequest(request));
@@ -116,13 +110,13 @@ void StorageNode::HandleAeRequest(const net::Message& msg) {
   if (!request.ok()) return;
   if (!server_->CheckAvailable().ok()) return;
   for (const std::string& key : request->keys) {
-    auto record = StoreForKey(key)->GetByKey(key);  // NOLINT(hotman-shard-affinity) docstore-locked snapshot read from the system shard
+    auto record = store_->GetByKey(key);
     if (!record.ok()) continue;
     PutReplicaMsg push;
     push.req = 0;
     push.record = core::AsReplicaCopy(*record);
     SendToNode(msg.from, kMsgPutReplica, EncodePutReplica(push));
-    ++shards_[0]->stats.ae_requested;
+    ++stats_.ae_requested;
   }
 }
 

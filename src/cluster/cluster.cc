@@ -247,22 +247,19 @@ Status Cluster::RestartNode(const std::string& address, bool lose_state) {
   StorageNode* node = it->second.get();
   if (lose_state) {
     // The replacement machine boots with an empty disk: every replica it
-    // held and every hint it owed other nodes are gone — across every
-    // shard partition.
-    for (int shard = 0; shard < node->num_shards(); ++shard) {
-      ReplicaStore* store = node->StoreOfShard(shard);  // NOLINT(hotman-shard-affinity) docstore-locked wipe of a stopped node's partitions
-      auto records = store->AllRecords();
-      if (records.ok()) {
-        for (const bson::Document& record : *records) {
-          Status purged = store->Purge(core::RecordSelfKey(record));
-          (void)purged;
-        }
+    // held and every hint it owed other nodes are gone.
+    ReplicaStore* store = node->store();
+    auto records = store->AllRecords();
+    if (records.ok()) {
+      for (const bson::Document& record : *records) {
+        Status purged = store->Purge(core::RecordSelfKey(record));
+        (void)purged;
       }
-      node->HintsOfShard(shard)->Clear();  // NOLINT(hotman-shard-affinity) same stopped-node wipe as the store above
     }
+    node->hints()->Clear();
     // A wiped node also lost its rebalance cursors: sources must re-stream
     // from zero rather than resume past records the disk no longer holds.
-    node->rebalancer()->OnStateLoss();  // NOLINT(hotman-shard-affinity) same stopped-node wipe as the stores above
+    node->rebalancer()->OnStateLoss();
   }
   injector_.Revive(node->server());
   RejoinNode(address);
@@ -387,11 +384,7 @@ std::vector<StorageNode*> Cluster::nodes() {
 
 std::size_t Cluster::TotalReplicas() {
   std::size_t total = 0;
-  for (auto& [address, node] : nodes_) {
-    for (int shard = 0; shard < node->num_shards(); ++shard) {
-      total += node->StoreOfShard(shard)->NumRecords();  // NOLINT(hotman-shard-affinity) docstore-locked count; test/verification observer
-    }
-  }
+  for (auto& [address, node] : nodes_) total += node->store()->NumRecords();
   return total;
 }
 
@@ -454,7 +447,7 @@ std::string Cluster::StatsJson() {
   transport_.ExportStats(&registry);
   registry.gauge("nodes")->Set(static_cast<std::int64_t>(nodes_.size()));
   registry.gauge("virtual_now_us")->Set(loop_.Now());
-  // heat.*: per-key heat merged across every node's shards. Gauges are
+  // heat.*: per-key heat merged across every node. Gauges are
   // int64, so the fractional skew coefficient exports in milli-units.
   HeatSnapshot heat;
   for (auto& [address, node] : nodes_) {

@@ -21,9 +21,6 @@ Status ClusterConfig::Validate() const {
   if (read_quorum < 1 || read_quorum > replication_factor) {
     return Status::InvalidArgument("read quorum R must satisfy 1 <= R <= N");
   }
-  if (shards < 1 || shards > 64) {
-    return Status::InvalidArgument("shards per node must satisfy 1 <= shards <= 64");
-  }
   bool has_seed = false;
   for (const NodeSpec& node : nodes) {
     if (node.address.empty()) return Status::InvalidArgument("empty node address");

@@ -65,13 +65,6 @@ struct ClusterConfig {
   std::vector<NodeSpec> nodes;
   std::string collection = "records";
 
-  // --- shard-per-core runtime ---
-  /// Internal shards per node (net::ShardedExecutor). Each shard owns a
-  /// contiguous arc of the hash-point space and all coordinator/replica
-  /// state for its keys; 1 keeps the classic single-reactor node. Capped
-  /// at 64 by the request-id shard tag (StorageNode::kShardBits).
-  int shards = 1;
-
   // --- timeouts ---
   Micros put_timeout = 800 * kMicrosPerMilli;
   Micros get_timeout = 800 * kMicrosPerMilli;

@@ -39,7 +39,7 @@ struct HeatEntry {
   double qps = 0.0;    ///< steady-state rate estimate: count * ln2 / half_life
 };
 
-/// Point-in-time view of a tracker, mergeable across shards and nodes for
+/// Point-in-time view of a tracker, mergeable across nodes for
 /// the /stats `heat.*` rollup.
 struct HeatSnapshot {
   std::vector<HeatEntry> top;    ///< descending by count
@@ -60,7 +60,7 @@ struct HeatSnapshot {
   static double FitSkew(const std::vector<HeatEntry>& top);
 };
 
-/// Shard-local space-saving top-k sketch with exponential decay.
+/// Space-saving top-k sketch with exponential decay.
 ///
 /// Space-saving (Metwally et al.) keeps at most `capacity` counters; a hit
 /// on an untracked key evicts the minimum counter and inherits its count
@@ -70,8 +70,8 @@ struct HeatSnapshot {
 /// rate estimator: a key receiving lambda ops/sec equilibrates at
 /// lambda * half_life / ln2, so qps-hat = count * ln2 / half_life.
 ///
-/// Single-threaded by design: lives inside a shard's reactor state (one
-/// tracker per ShardState) and on the MyStore front side; no locking, no
+/// Single-threaded by design: lives on a StorageNode's loop (one tracker
+/// per node) and on the MyStore front side; no locking, no
 /// allocation beyond the bounded key map, deterministic iteration
 /// (std::map) so seeded replays stay bit-identical.
 class HeatTracker {

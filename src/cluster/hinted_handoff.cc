@@ -6,8 +6,7 @@ namespace hotman::cluster {
 
 std::uint64_t HintStore::Add(const std::string& target, bson::Document record,
                              std::int64_t now) {
-  const std::uint64_t id = next_id_;
-  next_id_ += stride_;
+  const std::uint64_t id = next_id_++;
   hints_.emplace(id, Hint{id, target, std::move(record), now});
   ++total_added_;
   return id;

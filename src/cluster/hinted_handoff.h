@@ -31,12 +31,6 @@ class HintStore {
   /// Ids count 1, 2, 3, ...
   HintStore() = default;
 
-  /// Ids count first_id, first_id + stride, ... — a sharded node gives
-  /// shard k the arithmetic progression with `id % shards == k`, so a
-  /// handoff ack routes straight back to the ledger that issued the hint.
-  HintStore(std::uint64_t first_id, std::uint64_t stride)
-      : next_id_(first_id), stride_(stride == 0 ? 1 : stride) {}
-
   /// Records a hint; returns its id.
   std::uint64_t Add(const std::string& target, bson::Document record,
                     std::int64_t now);
@@ -69,7 +63,6 @@ class HintStore {
  private:
   std::map<std::uint64_t, Hint> hints_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t stride_ = 1;
   std::size_t total_added_ = 0;
   std::size_t total_delivered_ = 0;
 };

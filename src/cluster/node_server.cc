@@ -195,8 +195,6 @@ void NodeServer::HandleClientRebalanceStatus(const net::Message& msg) {
 
 std::string NodeServer::StatsJson() const {
   metrics::Registry registry;
-  // Merged across shards: stats() gathers each shard's counters in that
-  // shard's own execution context, so this is one coherent node-wide view.
   const NodeStats s = node_->stats();
   registry.counter("puts_coordinated")->Increment(s.puts_coordinated);
   registry.counter("puts_succeeded")->Increment(s.puts_succeeded);
@@ -260,8 +258,8 @@ std::string NodeServer::StatsJson() const {
     registry.histogram("replica_service_us")
         ->MergeFrom(node_->station()->service_histogram());
   }
-  // heat.*: this node's per-key heat, merged across its shards (the skew
-  // coefficient exports in milli-units: gauges are int64).
+  // heat.*: this node's per-key heat (the skew coefficient exports in
+  // milli-units: gauges are int64).
   const HeatSnapshot heat = node_->heat_snapshot();
   registry.counter("heat.tracked_ops")
       ->Increment(static_cast<std::int64_t>(heat.ops));
@@ -273,7 +271,6 @@ std::string NodeServer::StatsJson() const {
   registry.gauge("heat.skew_coeff_milli")
       ->Set(static_cast<std::int64_t>(heat.skew_coefficient * 1000.0));
   transport_->ExportStats(&registry);
-  node_->sharded()->ExportStats(&registry);  // sharded.* (shards, hops, drops)
   return registry.ToJson();
 }
 

@@ -15,16 +15,8 @@ namespace {
 /// Extra ring successors examined when picking hinted-handoff substitutes.
 constexpr std::size_t kHandoffCandidateSlack = 4;
 
-/// Period of each shard's hint write-back attempts.
+/// Period of the hint write-back attempts.
 constexpr Micros kHintRetryInterval = 2 * kMicrosPerSecond;
-
-/// Collection name of shard `index`'s replica-store partition. Shard 0
-/// keeps the configured name so a single-shard node is byte-identical to
-/// the pre-sharding layout (and existing tools keep finding "records").
-std::string ShardCollection(const std::string& base, int index) {
-  if (index == 0) return base;
-  return base + "_s" + std::to_string(index);
-}
 
 }  // namespace
 
@@ -58,57 +50,22 @@ void NodeStats::MergeFrom(const NodeStats& other) {
 
 StorageNode::StorageNode(const NodeSpec& spec, const ClusterConfig& config,
                          net::Transport* transport,
-                         sim::FailureInjector* injector, std::uint64_t rng_seed,
-                         net::ShardedExecutor* sharded)
+                         sim::FailureInjector* injector, std::uint64_t rng_seed)
     : spec_(spec),
       config_(config),
       id_(spec.address),
       transport_(transport),
-      injector_(injector) {
-  if (sharded != nullptr) {
-    sharded_ = sharded;
-  } else {
-    // Deterministic runtime: every shard multiplexes onto the node's
-    // transport, cross-shard hops are zero-delay events in schedule order.
-    net::ShardedExecutorConfig shard_config;
-    shard_config.shards = config_.shards;
-    shard_config.threaded = false;
-    owned_sharded_ =
-        std::make_unique<net::ShardedExecutor>(transport_, shard_config);
-    sharded_ = owned_sharded_.get();
-  }
+      injector_(injector),
+      heat_(config.heat) {
   server_ = std::make_unique<docstore::DocStoreServer>(
       id_, hashring::KetamaHash(id_), transport_->clock());
-  if (config_.simulate_service_time && !sharded_->threaded()) {
-    // The ServiceStation is a node-level queueing model of the simulator;
-    // a threaded (real) runtime measures genuine service time instead.
+  if (config_.simulate_service_time) {
     station_ = std::make_unique<sim::ServiceStation>(transport_, config_.service);
   }
-
-  const int num_shards = sharded_->num_shards();
-  shards_.reserve(num_shards);
-  for (int index = 0; index < num_shards; ++index) {
-    auto ss = std::make_unique<ShardState>();
-    ss->index = index;
-    ss->executor = sharded_->executor(index);
-    ss->heat = HeatTracker(config_.heat);
-    ss->store = std::make_unique<ReplicaStore>(
-        server_->db(), ShardCollection(config_.collection, index));
-    Status init = ss->store->Init();
-    if (!init.ok()) {
-      HOTMAN_LOG(kError) << id_ << ": replica store init failed (shard " << index << "): " << init.ToString();  // NOLINT(hotman-transitive-blocking) leaf log sink: bounded lock-copy + stderr write, log text is not replay state
-    }
-    if (num_shards == 1) {
-      // Single shard: hint ids count 1, 2, 3, ... exactly as before
-      // sharding (id & kShardMask == 0 still routes home).
-      ss->hints = std::make_unique<HintStore>();
-    } else {
-      // Hint ids carry their shard in the low bits: shard k issues
-      // (64 + k), (128 + k), ... so a handoff ack routes home lock-free.
-      ss->hints = std::make_unique<HintStore>(
-          (1u << kShardBits) | static_cast<unsigned>(index), 1u << kShardBits);
-    }
-    shards_.push_back(std::move(ss));
+  store_ = std::make_unique<ReplicaStore>(server_->db(), config_.collection);
+  Status init = store_->Init();
+  if (!init.ok()) {
+    HOTMAN_LOG(kError) << id_ << ": replica store init failed: " << init.ToString();  // NOLINT(hotman-transitive-blocking) leaf log sink: bounded lock-copy + stderr write, log text is not replay state
   }
 
   std::vector<std::string> seeds;
@@ -140,7 +97,6 @@ void StorageNode::Start() {
     (void)s;  // AlreadyExists is fine on restart
     if (node.address != id_) gossiper_->AddPeer(node.address);
   }
-  SyncShardRings();
   gossiper_->Boot(transport_->NowMicros() / kMicrosPerSecond + 1);
   gossiper_->SetLocalState(gossip::kStateVnodes,
                            std::to_string(EffectiveVnodes(spec_)));
@@ -166,10 +122,7 @@ void StorageNode::Start() {
                           gossip::Liveness to) {
     OnDetectorTransition(endpoint, from, to);
   });
-  for (const auto& shard : shards_) {
-    ShardState* ss = shard.get();
-    RunOnShard(ss->index, [this, ss] { StartHintTimer(*ss); });
-  }
+  StartHintTimer();
   if (config_.anti_entropy) StartAntiEntropyTimer();
   rebalancer_->Start();
   if (config_.rebalance.autonomic) StartAutonomicTimer();
@@ -189,38 +142,30 @@ void StorageNode::Stop() {
   sweep_push_pending_ = false;
   // Per-request events must not outlive the node: a timeout firing after
   // Stop would touch freed state, and an undone operation would otherwise
-  // strand its caller forever. Each shard fails its own pending work in its
-  // own context (PostSync: synchronous, so Stop() returning means no shard
-  // touches this node again). Move the maps out first so callbacks that
+  // strand its caller forever. Move the maps out first so callbacks that
   // re-enter this node see empty pending state.
-  for (const auto& shard : shards_) {
-    ShardState* ss = shard.get();
-    sharded_->PostSync(ss->index, [this, ss] {
-      ss->executor->CancelTimer(ss->hint_timer);
-      auto puts = std::move(ss->pending_puts);
-      ss->pending_puts.clear();
-      for (auto& [req, put] : puts) {
-        ss->executor->CancelTimer(put.timeout_event);
-        ss->executor->CancelTimer(put.cleanup_event);
-        if (!put.done) {
-          put.done = true;
-          ++ss->stats.puts_failed;
-          RecordPutOutcome(*ss, put, req, /*ok=*/false);
-          put.cb(Status::Unavailable("coordinator stopped: " + id_));
-        }
-      }
-      auto gets = std::move(ss->pending_gets);
-      ss->pending_gets.clear();
-      for (auto& [req, get] : gets) {
-        ss->executor->CancelTimer(get.timeout_event);
-        if (!get.done) {
-          ConcludeGet(*ss, req, &get,
-                      Status::Unavailable("coordinator stopped: " + id_));
-        }
-      }
-      ss->dirty_keys.clear();
-    });
+  transport_->CancelTimer(hint_timer_);
+  auto puts = std::move(pending_puts_);
+  pending_puts_.clear();
+  for (auto& [req, put] : puts) {
+    transport_->CancelTimer(put.timeout_event);
+    transport_->CancelTimer(put.cleanup_event);
+    if (!put.done) {
+      put.done = true;
+      ++stats_.puts_failed;
+      RecordPutOutcome(put, req, /*ok=*/false);
+      put.cb(Status::Unavailable("coordinator stopped: " + id_));
+    }
   }
+  auto gets = std::move(pending_gets_);
+  pending_gets_.clear();
+  for (auto& [req, get] : gets) {
+    transport_->CancelTimer(get.timeout_event);
+    if (!get.done) {
+      ConcludeGet(req, &get, Status::Unavailable("coordinator stopped: " + id_));
+    }
+  }
+  dirty_keys_.clear();
   transport_->UnregisterEndpoint(id_);
 }
 
@@ -236,17 +181,7 @@ void StorageNode::SendToNode(const std::string& to, const std::string& type,
   transport_->Send(std::move(msg));
 }
 
-void StorageNode::RunOnShard(int shard, std::function<void()> fn) {
-  sharded_->Post(shard, std::move(fn));
-}
-
 void StorageNode::RegisterHandlers() {
-  // System traffic (gossip, membership, anti-entropy) is pinned to shard 0
-  // — the dispatcher already runs there (the transport's event thread), so
-  // these handlers call straight through. Keyed traffic decodes on shard 0
-  // and hops to the owning shard: put/get replicas and hint stores by the
-  // record's key, acks by the home shard carried in the request id's low
-  // kShardBits.
   dispatcher_.On(gossip::kMsgGossipSyn, [this](const net::Message& msg) {
     gossiper_->HandleSyn(msg.from, msg.body);
   });
@@ -258,96 +193,54 @@ void StorageNode::RegisterHandlers() {
   });
   dispatcher_.On(kMsgPutReplica, [this](const net::Message& msg) {
     auto decoded = DecodePutReplica(msg.body);
-    if (!decoded.ok()) return;
-    const int shard = ShardOfKey(core::RecordSelfKey(decoded->record));
-    RunOnShard(shard, [this, shard, from = msg.from,
-                       d = std::move(*decoded)]() mutable {
-      HandlePutReplica(*shards_[shard], from, std::move(d));
-    });
+    if (decoded.ok()) HandlePutReplica(msg.from, std::move(*decoded));
   });
   dispatcher_.On(kMsgGetReplica, [this](const net::Message& msg) {
     auto decoded = DecodeGetReplica(msg.body);
-    if (!decoded.ok()) return;
-    const int shard = ShardOfKey(decoded->key);
-    RunOnShard(shard, [this, shard, from = msg.from,
-                       d = std::move(*decoded)]() mutable {
-      HandleGetReplica(*shards_[shard], from, std::move(d));
-    });
+    if (decoded.ok()) HandleGetReplica(msg.from, std::move(*decoded));
   });
   dispatcher_.On(kMsgPutAck, [this](const net::Message& msg) {
     auto ack = DecodePutAck(msg.body);
-    if (!ack.ok()) return;
-    const int shard = ShardOfReq(ack->req);
-    RunOnShard(shard, [this, shard, from = msg.from,
-                       a = std::move(*ack)]() mutable {
-      HandlePutAck(*shards_[shard], from, std::move(a));
-    });
+    if (ack.ok()) HandlePutAck(msg.from, std::move(*ack));
   });
   dispatcher_.On(kMsgGetAck, [this](const net::Message& msg) {
     auto ack = DecodeGetAck(msg.body);
     if (!ack.ok()) {
-      // No request id to route by: every shard checks its own pending
-      // reads against the sender (see HandleCorruptGetAck). Counted once
-      // per message, on the system shard (this handler runs there).
-      ++shards_[0]->stats.get_acks_corrupt;
-      for (const auto& shard : shards_) {
-        ShardState* ss = shard.get();
-        RunOnShard(ss->index, [this, ss, from = msg.from] {
-          HandleCorruptGetAck(*ss, from);
-        });
-      }
+      ++stats_.get_acks_corrupt;
+      HandleCorruptGetAck(msg.from);
       return;
     }
-    const int shard = ShardOfReq(ack->req);
-    RunOnShard(shard, [this, shard, from = msg.from,
-                       a = std::move(*ack)]() mutable {
-      HandleGetAck(*shards_[shard], from, std::move(a));
-    });
+    HandleGetAck(msg.from, std::move(*ack));
   });
   dispatcher_.On(kMsgHintStore, [this](const net::Message& msg) {
     auto decoded = DecodeHintStore(msg.body);
-    if (!decoded.ok()) return;
-    const int shard = ShardOfKey(core::RecordSelfKey(decoded->record));
-    RunOnShard(shard, [this, shard, from = msg.from,
-                       d = std::move(*decoded)]() mutable {
-      HandleHintStore(*shards_[shard], from, std::move(d));
-    });
+    if (decoded.ok()) HandleHintStore(msg.from, std::move(*decoded));
   });
   dispatcher_.On(kMsgHandoffDeliver, [this](const net::Message& msg) {
     auto decoded = DecodeHandoffDeliver(msg.body);
     if (!decoded.ok()) return;
-    const int shard = ShardOfKey(core::RecordSelfKey(decoded->second));
-    RunOnShard(shard, [this, shard, from = msg.from, hint_id = decoded->first,
-                       record = std::move(decoded->second)]() mutable {
-      HandleHandoffDeliver(*shards_[shard], from, hint_id, std::move(record));
-    });
+    HandleHandoffDeliver(msg.from, decoded->first, std::move(decoded->second));
   });
   dispatcher_.On(kMsgHandoffAck, [this](const net::Message& msg) {
     auto ack = DecodeHandoffAck(msg.body);
-    if (!ack.ok()) return;
-    const int shard = ShardOfReq(ack->hint_id);
-    RunOnShard(shard, [this, shard, a = std::move(*ack)]() mutable {
-      HandleHandoffAck(*shards_[shard], std::move(a));
-    });
+    if (ack.ok()) HandleHandoffAck(std::move(*ack));
   });
   dispatcher_.On(kMsgAeDigest,
                  [this](const net::Message& msg) { HandleAeDigest(msg); });
   dispatcher_.On(kMsgAeRequest,
                  [this](const net::Message& msg) { HandleAeRequest(msg); });
-  // Elastic membership (src/rebalance/): system-shard traffic like
-  // anti-entropy; the rebalancer hops keyed applies to the owning shard
-  // itself (through the env.apply hook).
+  // Elastic membership (src/rebalance/).
   dispatcher_.On(rebalance::kMsgRangeDigest, [this](const net::Message& msg) {
-    rebalancer_->HandleRangeDigest(msg.from, msg.body);  // NOLINT(hotman-shard-affinity) the dispatcher delivers on shard 0, the rebalancer's home shard
+    rebalancer_->HandleRangeDigest(msg.from, msg.body);
   });
   dispatcher_.On(rebalance::kMsgRangeAck, [this](const net::Message& msg) {
-    rebalancer_->HandleRangeAck(msg.from, msg.body);  // NOLINT(hotman-shard-affinity) the dispatcher delivers on shard 0, the rebalancer's home shard
+    rebalancer_->HandleRangeAck(msg.from, msg.body);
   });
   dispatcher_.On(rebalance::kMsgRangePush, [this](const net::Message& msg) {
-    rebalancer_->HandleRangePush(msg.from, msg.body);  // NOLINT(hotman-shard-affinity) the dispatcher delivers on shard 0, the rebalancer's home shard
+    rebalancer_->HandleRangePush(msg.from, msg.body);
   });
   dispatcher_.On(rebalance::kMsgTransferDone, [this](const net::Message& msg) {
-    rebalancer_->HandleTransferDone(msg.from, msg.body);  // NOLINT(hotman-shard-affinity) the dispatcher delivers on shard 0, the rebalancer's home shard
+    rebalancer_->HandleTransferDone(msg.from, msg.body);
   });
   dispatcher_.On(kMsgNodeRemoved, [this](const net::Message& msg) {
     auto notice = DecodeMembership(msg.body);
@@ -366,82 +259,44 @@ bool StorageNode::SubmitWork(std::size_t payload_bytes,
   return true;
 }
 
-// --- shard-local membership views -------------------------------------------
-
-const hashring::Ring& StorageNode::RingOf(const ShardState& ss) const {
-  if (ss.index == 0 || !sharded_->threaded()) return ring_;
-  return ss.ring;
-}
-
-gossip::Liveness StorageNode::LivenessOf(const ShardState& ss,
-                                         const std::string& node) const {
-  if (ss.index == 0 || !sharded_->threaded()) return detector_->StatusOf(node);
-  auto it = ss.liveness.find(node);
-  // Absent means never heard a transition — kAlive, like the detector.
-  return it == ss.liveness.end() ? gossip::Liveness::kAlive : it->second;
-}
-
-void StorageNode::SyncShardRings() {
-  if (!sharded_->threaded()) return;  // every shard reads the master directly
-  for (const auto& shard : shards_) {
-    ShardState* ss = shard.get();
-    if (ss->index == 0) continue;
-    RunOnShard(ss->index, [ss, ring = ring_] { ss->ring = ring; });
-  }
-}
-
-void StorageNode::SyncShardLiveness(const std::string& endpoint,
-                                    gossip::Liveness to) {
-  if (!sharded_->threaded()) return;
-  for (const auto& shard : shards_) {
-    ShardState* ss = shard.get();
-    if (ss->index == 0) continue;
-    RunOnShard(ss->index, [ss, endpoint, to] { ss->liveness[endpoint] = to; });
-  }
-}
-
 std::vector<std::string> StorageNode::PreferenceNodes(
-    const ShardState& ss, const std::string& key) const {
-  return RingOf(ss).PreferenceList(key, config_.replication_factor);
+    const std::string& key) const {
+  return ring_.PreferenceList(key, config_.replication_factor);
 }
 
 // --- replica side -----------------------------------------------------------
 
-void StorageNode::HandlePutReplica(ShardState& ss, const std::string& from,
-                                   PutReplicaMsg msg) {
+void StorageNode::HandlePutReplica(const std::string& from, PutReplicaMsg msg) {
   const std::size_t bytes = bson::EncodedSize(msg.record);
   const std::uint64_t req = msg.req;
   bson::Document record = std::move(msg.record);
   const bool admitted = SubmitWork(
-      bytes, [this, &ss, req, from, record = std::move(record)](
-                 Micros queued, Micros serviced) mutable {
-        RunOnShard(ss.index, [this, &ss, req, from, record = std::move(record),
-                              queued, serviced] {
-          PutAckMsg ack;
-          ack.req = req;
-          ack.queue_micros = queued;
-          ack.service_micros = serviced;
-          Status available = server_->CheckAvailable();
-          if (!available.ok()) {
-            ack.ok = false;
-            ack.error = available.ToString();
-          } else if (config_.chaos_lying_replica == id_) {
-            // Negative-control harness: acknowledge without applying, so the
-            // coordinator's quorum count overstates durability. The offline
-            // checker must catch the resulting lost updates / stale reads.
+      bytes, [this, req, from, record = std::move(record)](
+                 Micros queued, Micros serviced) {
+        PutAckMsg ack;
+        ack.req = req;
+        ack.queue_micros = queued;
+        ack.service_micros = serviced;
+        Status available = server_->CheckAvailable();
+        if (!available.ok()) {
+          ack.ok = false;
+          ack.error = available.ToString();
+        } else if (config_.chaos_lying_replica == id_) {
+          // Negative-control harness: acknowledge without applying, so the
+          // coordinator's quorum count overstates durability. The offline
+          // checker must catch the resulting lost updates / stale reads.
+          ack.ok = true;
+        } else {
+          auto applied = store_->Apply(record);
+          if (applied.ok()) {
             ack.ok = true;
+            ++stats_.replica_puts_applied;
           } else {
-            auto applied = ss.store->Apply(record);
-            if (applied.ok()) {
-              ack.ok = true;
-              ++ss.stats.replica_puts_applied;
-            } else {
-              ack.ok = false;
-              ack.error = applied.status().ToString();
-            }
+            ack.ok = false;
+            ack.error = applied.status().ToString();
           }
-          if (req != 0) SendToNode(from, kMsgPutAck, EncodePutAck(ack));
-        });
+        }
+        if (req != 0) SendToNode(from, kMsgPutAck, EncodePutAck(ack));
       });
   if (!admitted && req != 0) {
     PutAckMsg ack;
@@ -452,8 +307,7 @@ void StorageNode::HandlePutReplica(ShardState& ss, const std::string& from,
   }
 }
 
-void StorageNode::HandleGetReplica(ShardState& ss, const std::string& from,
-                                   GetReplicaMsg msg) {
+void StorageNode::HandleGetReplica(const std::string& from, GetReplicaMsg msg) {
   if (msg.digest_only) {
     // Version probes bypass the ServiceStation: they serve a bounded
     // (_ts, _origin) pair off the store's index, not a record payload —
@@ -469,7 +323,7 @@ void StorageNode::HandleGetReplica(ShardState& ss, const std::string& from,
       ack.ok = false;
       ack.error = available.ToString();
     } else {
-      auto record = ss.store->GetByKey(msg.key);
+      auto record = store_->GetByKey(msg.key);
       ack.ok = true;
       if (record.ok()) {
         ack.found = true;
@@ -479,7 +333,7 @@ void StorageNode::HandleGetReplica(ShardState& ss, const std::string& from,
         ack.ok = false;
         ack.error = record.status().ToString();
       }
-      if (ack.ok) ++ss.stats.replica_digests_served;
+      if (ack.ok) ++stats_.replica_digests_served;
     }
     SendToNode(from, kMsgGetAck, EncodeGetAck(ack));
     return;
@@ -487,30 +341,28 @@ void StorageNode::HandleGetReplica(ShardState& ss, const std::string& from,
   const std::uint64_t req = msg.req;
   const std::string key = msg.key;
   const bool admitted = SubmitWork(
-      256, [this, &ss, req, from, key](Micros queued, Micros serviced) {
-        RunOnShard(ss.index, [this, &ss, req, from, key, queued, serviced] {
-          GetAckMsg ack;
-          ack.req = req;
-          ack.queue_micros = queued;
-          ack.service_micros = serviced;
-          Status available = server_->CheckAvailable();
-          if (!available.ok()) {
+      256, [this, req, from, key](Micros queued, Micros serviced) {
+        GetAckMsg ack;
+        ack.req = req;
+        ack.queue_micros = queued;
+        ack.service_micros = serviced;
+        Status available = server_->CheckAvailable();
+        if (!available.ok()) {
+          ack.ok = false;
+          ack.error = available.ToString();
+        } else {
+          auto record = store_->GetByKey(key);
+          ack.ok = true;
+          if (record.ok()) {
+            ack.found = true;
+            ack.record = std::move(*record);
+          } else if (!record.status().IsNotFound()) {
             ack.ok = false;
-            ack.error = available.ToString();
-          } else {
-            auto record = ss.store->GetByKey(key);
-            ack.ok = true;
-            if (record.ok()) {
-              ack.found = true;
-              ack.record = std::move(*record);
-            } else if (!record.status().IsNotFound()) {
-              ack.ok = false;
-              ack.error = record.status().ToString();
-            }
-            if (ack.ok) ++ss.stats.replica_gets_served;
+            ack.error = record.status().ToString();
           }
-          SendToNode(from, kMsgGetAck, EncodeGetAck(ack));
-        });
+          if (ack.ok) ++stats_.replica_gets_served;
+        }
+        SendToNode(from, kMsgGetAck, EncodeGetAck(ack));
       });
   if (!admitted) {
     GetAckMsg ack;
@@ -521,8 +373,7 @@ void StorageNode::HandleGetReplica(ShardState& ss, const std::string& from,
   }
 }
 
-void StorageNode::HandleHintStore(ShardState& ss, const std::string& from,
-                                  HintStoreMsg msg) {
+void StorageNode::HandleHintStore(const std::string& from, HintStoreMsg msg) {
   PutAckMsg ack;
   ack.req = msg.req;
   Status available = server_->CheckAvailable();
@@ -532,23 +383,23 @@ void StorageNode::HandleHintStore(ShardState& ss, const std::string& from,
   } else {
     // Store the hint (Fig. 8: "creates an index for the replication") and
     // keep a durable local copy so reads during the outage can be repaired.
-    ss.hints->Add(msg.target, msg.record, transport_->NowMicros());
-    auto applied = ss.store->Apply(msg.record);
+    hints_.Add(msg.target, msg.record, transport_->NowMicros());
+    auto applied = store_->Apply(msg.record);
     ack.ok = applied.ok();
     if (!applied.ok()) ack.error = applied.status().ToString();
-    ++ss.stats.handoff_writes;
+    ++stats_.handoff_writes;
   }
   SendToNode(from, kMsgPutAck, EncodePutAck(ack));
 }
 
-void StorageNode::HandleHandoffDeliver(ShardState& ss, const std::string& from,
+void StorageNode::HandleHandoffDeliver(const std::string& from,
                                        std::uint64_t hint_id,
                                        bson::Document record) {
   HandoffAckMsg ack;
   ack.hint_id = hint_id;
   Status available = server_->CheckAvailable();
   if (available.ok()) {
-    auto applied = ss.store->Apply(record);
+    auto applied = store_->Apply(record);
     ack.ok = applied.ok();
   } else {
     ack.ok = false;
@@ -560,44 +411,35 @@ void StorageNode::HandleHandoffDeliver(ShardState& ss, const std::string& from,
 
 void StorageNode::CoordinatePut(const std::string& key, bson::Binary value,
                                 PutCallback cb) {
-  const int shard = ShardOfKey(key);
-  RunOnShard(shard, [this, shard, key, value = std::move(value),
-                     cb = std::move(cb)]() mutable {
-    bson::Document record = core::MakeRecord(
-        server_->db()->id_generator()->Next(), key, std::move(value),
-        /*is_copy=*/false, /*deleted=*/false,
-        transport_->NowMicros() + clock_skew_, id_);
-    StartPut(*shards_[shard], std::move(record), std::move(cb));
-  });
+  bson::Document record = core::MakeRecord(
+      server_->db()->id_generator()->Next(), key, std::move(value),
+      /*is_copy=*/false, /*deleted=*/false,
+      transport_->NowMicros() + clock_skew_, id_);
+  StartPut(std::move(record), std::move(cb));
 }
 
 void StorageNode::CoordinateDelete(const std::string& key, PutCallback cb) {
-  const int shard = ShardOfKey(key);
-  RunOnShard(shard, [this, shard, key, cb = std::move(cb)]() mutable {
-    bson::Document tombstone = core::MakeTombstone(
-        server_->db()->id_generator()->Next(), key,
-        transport_->NowMicros() + clock_skew_, id_);
-    StartPut(*shards_[shard], std::move(tombstone), std::move(cb));
-  });
+  bson::Document tombstone = core::MakeTombstone(
+      server_->db()->id_generator()->Next(), key,
+      transport_->NowMicros() + clock_skew_, id_);
+  StartPut(std::move(tombstone), std::move(cb));
 }
 
-void StorageNode::StartPut(ShardState& ss, bson::Document record,
-                           PutCallback cb) {
-  ++ss.stats.puts_coordinated;
+void StorageNode::StartPut(bson::Document record, PutCallback cb) {
+  ++stats_.puts_coordinated;
   // Table 2's probabilities are per operation on the test system: each
   // client operation may trip one failure at a random node.
   if (injector_ != nullptr) injector_->MaybeInjectAnywhere();
   const std::string key = core::RecordSelfKey(record);
-  ss.heat.Record(key, transport_->NowMicros());
-  std::vector<std::string> targets = PreferenceNodes(ss, key);
+  heat_.Record(key, transport_->NowMicros());
+  std::vector<std::string> targets = PreferenceNodes(key);
   if (targets.empty()) {
-    ++ss.stats.puts_failed;
+    ++stats_.puts_failed;
     cb(Status::Unavailable("ring is empty"));
     return;
   }
-  const std::uint64_t req = (ss.next_seq++ << kShardBits) |
-                            static_cast<std::uint64_t>(ss.index);
-  PendingPut& put = ss.pending_puts[req];
+  const std::uint64_t req = next_req_++;
+  PendingPut& put = pending_puts_[req];
   put.key = key;
   put.primary = targets.front();
   put.record = std::move(record);
@@ -609,11 +451,11 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
     put.responded.emplace(target, false);
     put.used.insert(target);
   }
-  put.timeout_event = ss.executor->ScheduleTimer(
-      config_.put_timeout, [this, &ss, req]() { OnPutTimeout(ss, req); });
-  put.cleanup_event = ss.executor->ScheduleTimer(
-      4 * config_.put_timeout, [this, &ss, req]() { OnPutCleanup(ss, req); });
-  MarkKeyDirty(ss, key);
+  put.timeout_event = transport_->ScheduleTimer(
+      config_.put_timeout, [this, req]() { OnPutTimeout(req); });
+  put.cleanup_event = transport_->ScheduleTimer(
+      4 * config_.put_timeout, [this, req]() { OnPutCleanup(req); });
+  MarkKeyDirty(key);
 
   // The primary stores the original record (isData=1) and the other N-1
   // preference nodes store copies; all replications run concurrently.
@@ -624,18 +466,18 @@ void StorageNode::StartPut(ShardState& ss, bson::Document record,
   std::vector<std::string> live;
   std::vector<std::string> known_dead;
   for (const std::string& target : targets) {
-    (LivenessOf(ss, target) == gossip::Liveness::kDead ? known_dead : live)
+    (detector_->StatusOf(target) == gossip::Liveness::kDead ? known_dead : live)
         .push_back(target);
   }
   SendPutReplicas(req, put, live);
   if (!known_dead.empty()) {
     for (const std::string& target : known_dead) {
       put.responded[target] = true;
-      TryHandoff(ss, req, &put, target);
+      TryHandoff(req, &put, target);
     }
     // With handoff disabled every known-dead target counts as answered, so
     // an unreachable quorum can already be decided here (fast fail).
-    MaybeFinishPut(ss, req, &put);
+    MaybeFinishPut(req, &put);
   }
 }
 
@@ -675,10 +517,9 @@ void StorageNode::SendPutReplicas(std::uint64_t req, const PendingPut& put,
   }
 }
 
-void StorageNode::HandlePutAck(ShardState& ss, const std::string& from,
-                               PutAckMsg ack) {
-  auto it = ss.pending_puts.find(ack.req);
-  if (it == ss.pending_puts.end()) return;  // late or fire-and-forget ack
+void StorageNode::HandlePutAck(const std::string& from, PutAckMsg ack) {
+  auto it = pending_puts_.find(ack.req);
+  if (it == pending_puts_.end()) return;  // late or fire-and-forget ack
   PendingPut& put = it->second;
   auto responded_it = put.responded.find(from);
   if (responded_it != put.responded.end()) {
@@ -701,12 +542,12 @@ void StorageNode::HandlePutAck(ShardState& ss, const std::string& from,
   } else {
     // Abnormal event: "the system must find other storage node, and try to
     // write several times to guarantee the success of writing."
-    TryHandoff(ss, ack.req, &put, from);
+    TryHandoff(ack.req, &put, from);
   }
-  MaybeFinishPut(ss, ack.req, &put);
+  MaybeFinishPut(ack.req, &put);
 }
 
-void StorageNode::TryHandoff(ShardState& ss, std::uint64_t req, PendingPut* put,
+void StorageNode::TryHandoff(std::uint64_t req, PendingPut* put,
                              const std::string& failed) {
   if (!config_.hinted_handoff) return;
   // When a substitute itself fails, its replacement still covers the
@@ -716,7 +557,7 @@ void StorageNode::TryHandoff(ShardState& ss, std::uint64_t req, PendingPut* put,
       covered == put->stands_in_for.end() ? failed : covered->second;
   const std::size_t want =
       config_.replication_factor + kHandoffCandidateSlack + put->used.size();
-  std::vector<std::string> candidates = RingOf(ss).PreferenceList(put->key, want);
+  std::vector<std::string> candidates = ring_.PreferenceList(put->key, want);
   for (const std::string& candidate : candidates) {
     if (put->used.count(candidate) > 0) continue;
     put->used.insert(candidate);
@@ -727,8 +568,7 @@ void StorageNode::TryHandoff(ShardState& ss, std::uint64_t req, PendingPut* put,
   }
 }
 
-void StorageNode::MaybeFinishPut(ShardState& ss, std::uint64_t req,
-                                 PendingPut* put) {
+void StorageNode::MaybeFinishPut(std::uint64_t req, PendingPut* put) {
   // With single-replica read plans in strict mode the write is
   // primary-anchored: W acks alone are not enough, the primary must be
   // among them. That keeps the read set {primary} inside every completed
@@ -736,8 +576,8 @@ void StorageNode::MaybeFinishPut(ShardState& ss, std::uint64_t req,
   if (!put->done && put->acks >= put->needed &&
       (!RequirePrimaryAck() || put->primary_ok)) {
     put->done = true;
-    ++ss.stats.puts_succeeded;
-    RecordPutOutcome(ss, *put, req, /*ok=*/true);
+    ++stats_.puts_succeeded;
+    RecordPutOutcome(*put, req, /*ok=*/true);
     put->cb(Status::OK());
   }
   for (const auto& [target, answered] : put->responded) {
@@ -746,27 +586,26 @@ void StorageNode::MaybeFinishPut(ShardState& ss, std::uint64_t req,
   // Everyone answered (handoff substitutes included). If the quorum is
   // still short, no outstanding ack can ever close the gap — fail fast
   // instead of parking the client until the 4x cleanup timer.
-  RetirePut(ss, req, put);
+  RetirePut(req, put);
 }
 
-void StorageNode::RetirePut(ShardState& ss, std::uint64_t req,
-                            PendingPut* put) {
+void StorageNode::RetirePut(std::uint64_t req, PendingPut* put) {
   if (!put->done) {
     put->done = true;
-    ++ss.stats.puts_failed;
-    RecordPutOutcome(ss, *put, req, /*ok=*/false);
+    ++stats_.puts_failed;
+    RecordPutOutcome(*put, req, /*ok=*/false);
     put->cb(Status::QuorumFailed("write quorum not reached for key " + put->key));
   }
-  ss.executor->CancelTimer(put->timeout_event);
-  ss.executor->CancelTimer(put->cleanup_event);
-  RetireDirtyKey(ss, put->key,
+  transport_->CancelTimer(put->timeout_event);
+  transport_->CancelTimer(put->cleanup_event);
+  RetireDirtyKey(put->key,
                  /*settled_all_n=*/put->ok_acks.size() == put->pref_targets.size());
-  ss.pending_puts.erase(req);
+  pending_puts_.erase(req);
 }
 
-void StorageNode::OnPutTimeout(ShardState& ss, std::uint64_t req) {
-  auto it = ss.pending_puts.find(req);
-  if (it == ss.pending_puts.end()) return;
+void StorageNode::OnPutTimeout(std::uint64_t req) {
+  auto it = pending_puts_.find(req);
+  if (it == pending_puts_.end()) return;
   PendingPut& put = it->second;
   std::vector<std::string> silent;
   for (const auto& [target, answered] : put.responded) {
@@ -778,8 +617,8 @@ void StorageNode::OnPutTimeout(ShardState& ss, std::uint64_t req) {
     // writing" — resend to the silent replicas (the outage may have been a
     // dropped message or a short failure that already healed)...
     SendPutReplicas(req, put, silent);
-    put.timeout_event = ss.executor->ScheduleTimer(
-        config_.put_timeout / 2, [this, &ss, req]() { OnPutTimeout(ss, req); });
+    put.timeout_event = transport_->ScheduleTimer(
+        config_.put_timeout / 2, [this, req]() { OnPutTimeout(req); });
     return;
   }
   // ...then give up on still-silent replicas and redirect each write to a
@@ -788,77 +627,72 @@ void StorageNode::OnPutTimeout(ShardState& ss, std::uint64_t req) {
   // covers substitutes that were themselves unreachable.
   for (const std::string& target : silent) {
     put.responded[target] = true;
-    TryHandoff(ss, req, &put, target);
+    TryHandoff(req, &put, target);
   }
   // Giving up on the silent replicas may have settled the outcome (all
   // responded, quorum unreachable): decide now rather than waiting for the
   // cleanup timer. MaybeFinishPut can erase the entry, so re-find it.
-  MaybeFinishPut(ss, req, &put);
-  auto still = ss.pending_puts.find(req);
-  if (still != ss.pending_puts.end() && still->second.timeout_wave < 4 &&
+  MaybeFinishPut(req, &put);
+  auto still = pending_puts_.find(req);
+  if (still != pending_puts_.end() && still->second.timeout_wave < 4 &&
       !still->second.done) {
-    still->second.timeout_event = ss.executor->ScheduleTimer(
-        config_.put_timeout / 2, [this, &ss, req]() { OnPutTimeout(ss, req); });
+    still->second.timeout_event = transport_->ScheduleTimer(
+        config_.put_timeout / 2, [this, req]() { OnPutTimeout(req); });
   }
 }
 
-void StorageNode::OnPutCleanup(ShardState& ss, std::uint64_t req) {
-  auto it = ss.pending_puts.find(req);
-  if (it == ss.pending_puts.end()) return;
-  RetirePut(ss, req, &it->second);
+void StorageNode::OnPutCleanup(std::uint64_t req) {
+  auto it = pending_puts_.find(req);
+  if (it == pending_puts_.end()) return;
+  RetirePut(req, &it->second);
 }
 
 // --- coordinator: Get -------------------------------------------------------
 
 void StorageNode::CoordinateGet(const std::string& key, GetCallback cb) {
-  const int shard = ShardOfKey(key);
-  RunOnShard(shard, [this, shard, key, cb = std::move(cb)]() mutable {
-    ShardState& ss = *shards_[shard];
-    ++ss.stats.gets_coordinated;
-    if (injector_ != nullptr) injector_->MaybeInjectAnywhere();
-    const Micros started_at = transport_->NowMicros();
-    ss.heat.Record(key, started_at);
-    std::optional<ReadPlan> plan;
-    if (config_.read_path != ReadPath::kQuorum) {
-      // A single-replica plan is safe only for a key with no write in
-      // flight (and nothing recently unsettled) whose primary is alive:
-      // primary-anchored writes guarantee the primary saw every completed
-      // write, so the one-replica read still intersects every write quorum.
-      // Anchoring only holds in strict mode (hinted handoff off): with
-      // substitutes taking writes for absent holders, a completed write may
-      // bypass the primary entirely, so these plans must stand down.
-      std::vector<std::string> prefs;
-      if (RequirePrimaryAck() && KeyIsCleanOnShard(ss, key)) {
-        prefs = PreferenceNodes(ss, key);
-      }
-      if (!prefs.empty() &&
-          LivenessOf(ss, prefs.front()) == gossip::Liveness::kAlive) {
-        plan = PrimaryPlan(prefs.front());
-        // A key the heat sketch flags hot rotates its payload read across
-        // the holders instead of always charging the primary. Ticket 0 (and
-        // any turn landing on a suspect replica) keeps the primary plan.
-        if (config_.read_path == ReadPath::kHotRotation && prefs.size() >= 2 &&
-            ss.heat.IsHot(key, started_at)) {
-          const std::size_t pick = ss.heat.NextRotation(key) % prefs.size();
-          if (pick != 0 &&
-              LivenessOf(ss, prefs[pick]) == gossip::Liveness::kAlive) {
-            ++ss.stats.hot_gets_fanned;
-            plan = HotPlan(prefs[pick], prefs.front());
-          }
-        }
-      } else {
-        ++ss.stats.fast_read_fallbacks;
-      }
+  ++stats_.gets_coordinated;
+  if (injector_ != nullptr) injector_->MaybeInjectAnywhere();
+  const Micros started_at = transport_->NowMicros();
+  heat_.Record(key, started_at);
+  std::optional<ReadPlan> plan;
+  if (config_.read_path != ReadPath::kQuorum) {
+    // A single-replica plan is safe only for a key with no write in
+    // flight (and nothing recently unsettled) whose primary is alive:
+    // primary-anchored writes guarantee the primary saw every completed
+    // write, so the one-replica read still intersects every write quorum.
+    // Anchoring only holds in strict mode (hinted handoff off): with
+    // substitutes taking writes for absent holders, a completed write may
+    // bypass the primary entirely, so these plans must stand down.
+    std::vector<std::string> prefs;
+    if (RequirePrimaryAck() && KeyIsClean(key)) {
+      prefs = PreferenceNodes(key);
     }
-    IssueGet(ss, key, std::move(cb), started_at,
-             plan.has_value() ? std::move(*plan) : QuorumPlan(ss, key));
-  });
+    if (!prefs.empty() &&
+        detector_->StatusOf(prefs.front()) == gossip::Liveness::kAlive) {
+      plan = PrimaryPlan(prefs.front());
+      // A key the heat sketch flags hot rotates its payload read across
+      // the holders instead of always charging the primary. Ticket 0 (and
+      // any turn landing on a suspect replica) keeps the primary plan.
+      if (config_.read_path == ReadPath::kHotRotation && prefs.size() >= 2 &&
+          heat_.IsHot(key, started_at)) {
+        const std::size_t pick = heat_.NextRotation(key) % prefs.size();
+        if (pick != 0 &&
+            detector_->StatusOf(prefs[pick]) == gossip::Liveness::kAlive) {
+          ++stats_.hot_gets_fanned;
+          plan = HotPlan(prefs[pick], prefs.front());
+        }
+      }
+    } else {
+      ++stats_.fast_read_fallbacks;
+    }
+  }
+  IssueGet(key, std::move(cb), started_at,
+           plan.has_value() ? std::move(*plan) : QuorumPlan(key));
 }
 
-StorageNode::ReadPlan StorageNode::QuorumPlan(const ShardState& ss,
-                                              const std::string& key) const {
+StorageNode::ReadPlan StorageNode::QuorumPlan(const std::string& key) const {
   ReadPlan plan;
-  plan.targets = PreferenceNodes(ss, key);
+  plan.targets = PreferenceNodes(key);
   // Skip replicas the detector knows are dead (they cannot answer and would
   // stall the all-replied miss path) — but never below the read quorum: the
   // detector can be wrong during asymmetric partitions, and shrinking the
@@ -869,7 +703,7 @@ StorageNode::ReadPlan StorageNode::QuorumPlan(const ShardState& ss,
   std::vector<std::string> alive;
   alive.reserve(plan.targets.size());
   for (const std::string& target : plan.targets) {
-    if (LivenessOf(ss, target) != gossip::Liveness::kDead) {
+    if (detector_->StatusOf(target) != gossip::Liveness::kDead) {
       alive.push_back(target);
     }
   }
@@ -908,22 +742,21 @@ StorageNode::ReadPlan StorageNode::HotPlan(const std::string& replica,
   return plan;
 }
 
-void StorageNode::IssueGet(ShardState& ss, const std::string& key,
-                           GetCallback cb, Micros started_at, ReadPlan plan) {
+void StorageNode::IssueGet(const std::string& key, GetCallback cb,
+                           Micros started_at, ReadPlan plan) {
   if (plan.targets.empty()) {
-    ++ss.stats.gets_failed;
+    ++stats_.gets_failed;
     cb(Status::Unavailable("ring is empty"));
     return;
   }
-  const std::uint64_t req = (ss.next_seq++ << kShardBits) |
-                            static_cast<std::uint64_t>(ss.index);
-  PendingGet& get = ss.pending_gets[req];
+  const std::uint64_t req = next_req_++;
+  PendingGet& get = pending_gets_[req];
   get.key = key;
   get.cb = std::move(cb);
   get.started_at = started_at;
   get.plan = std::move(plan);
-  get.timeout_event = ss.executor->ScheduleTimer(
-      get.plan.timeout, [this, &ss, req]() { OnGetTimeout(ss, req); });
+  get.timeout_event = transport_->ScheduleTimer(
+      get.plan.timeout, [this, req]() { OnGetTimeout(req); });
 
   GetReplicaMsg msg;
   msg.req = req;
@@ -952,8 +785,7 @@ StorageNode::ReplyTally StorageNode::TallyReplies(
   return tally;
 }
 
-void StorageNode::DecideGet(ShardState& ss, std::uint64_t req, PendingGet* get,
-                            bool deadline) {
+void StorageNode::DecideGet(std::uint64_t req, PendingGet* get, bool deadline) {
   const ReadPlan& plan = get->plan;
   const ReplyTally tally = TallyReplies(get->replies);
   if (plan.demote_on_failure && !get->done) {
@@ -967,7 +799,7 @@ void StorageNode::DecideGet(ShardState& ss, std::uint64_t req, PendingGet* get,
                       return !entry.second.ok || !entry.second.found;
                     });
     if (deadline || refused) {
-      DemoteGet(ss, req, get);
+      DemoteGet(req, get);
       return;
     }
     if (tally.successes < plan.needed) return;  // payload still in flight
@@ -979,18 +811,18 @@ void StorageNode::DecideGet(ShardState& ss, std::uint64_t req, PendingGet* get,
         // The replica lags (or leads) the primary — e.g. a read repair or
         // anti-entropy push still in flight. Serving its copy could return
         // a version the primary-anchored write quorum never confirmed.
-        DemoteGet(ss, req, get);
+        DemoteGet(req, get);
         return;
       }
     }
-    ConcludeGet(ss, req, get, *tally.winner);
-    FinalizeGet(ss, req, get);
+    ConcludeGet(req, get, *tally.winner);
+    FinalizeGet(req, get);
     return;
   }
   const bool all_answered = get->replies.size() == plan.targets.size();
   if (!get->done) {
     if (tally.winner != nullptr && tally.successes >= plan.needed) {
-      ConcludeGet(ss, req, get, *tally.winner);
+      ConcludeGet(req, get, *tally.winner);
     } else if (all_answered || deadline) {
       // "The Get operation gets all replications of the specified key": a
       // miss is only authoritative once every replica has answered (or the
@@ -998,7 +830,7 @@ void StorageNode::DecideGet(ShardState& ss, std::uint64_t req, PendingGet* get,
       // a value or a miss confirmed by fewer replicas than the read quorum
       // must not be served as authoritative, least of all during the
       // partitions and slow links where a timeout fires.
-      ConcludeGet(ss, req, get,
+      ConcludeGet(req, get,
                   tally.successes >= plan.needed
                       ? Status::NotFound("no replica has key " + get->key)
                   : deadline
@@ -1008,36 +840,35 @@ void StorageNode::DecideGet(ShardState& ss, std::uint64_t req, PendingGet* get,
                                             get->key));
     }
   }
-  if (all_answered || deadline) FinalizeGet(ss, req, get);
+  if (all_answered || deadline) FinalizeGet(req, get);
 }
 
-void StorageNode::ConcludeGet(ShardState& ss, std::uint64_t req,
-                              PendingGet* get, Result<bson::Document> result) {
+void StorageNode::ConcludeGet(std::uint64_t req, PendingGet* get,
+                              Result<bson::Document> result) {
   get->done = true;
   if (result.ok()) {
-    ++ss.stats.gets_succeeded;
-    if (get->plan.demote_on_failure) ++ss.stats.fast_read_hits;
-    if (!get->plan.verify_at.empty()) ++ss.stats.hot_read_hits;
+    ++stats_.gets_succeeded;
+    if (get->plan.demote_on_failure) ++stats_.fast_read_hits;
+    if (!get->plan.verify_at.empty()) ++stats_.hot_read_hits;
   } else {
-    ++ss.stats.gets_failed;
+    ++stats_.gets_failed;
   }
-  RecordGetOutcome(ss, *get, req, result.ok());
+  RecordGetOutcome(*get, req, result.ok());
   get->cb(result);
 }
 
-void StorageNode::DemoteGet(ShardState& ss, std::uint64_t req,
-                            PendingGet* get) {
-  ++ss.stats.fast_read_demotions;
-  if (!get->plan.verify_at.empty()) ++ss.stats.hot_read_demotions;
-  ss.executor->CancelTimer(get->timeout_event);
+void StorageNode::DemoteGet(std::uint64_t req, PendingGet* get) {
+  ++stats_.fast_read_demotions;
+  if (!get->plan.verify_at.empty()) ++stats_.hot_read_demotions;
+  transport_->CancelTimer(get->timeout_event);
   const std::string key = get->key;
   GetCallback cb = std::move(get->cb);
   const Micros started_at = get->started_at;
-  ss.pending_gets.erase(req);
-  IssueGet(ss, key, std::move(cb), started_at, QuorumPlan(ss, key));
+  pending_gets_.erase(req);
+  IssueGet(key, std::move(cb), started_at, QuorumPlan(key));
 }
 
-void StorageNode::HandleCorruptGetAck(ShardState& ss, const std::string& from) {
+void StorageNode::HandleCorruptGetAck(const std::string& from) {
   // An undecodable ack carries no request id, but it still came from a
   // node some read is waiting on. Treat it as a failed reply for every
   // pending read that is missing an answer from the sender, so the
@@ -1046,7 +877,7 @@ void StorageNode::HandleCorruptGetAck(ShardState& ss, const std::string& from) {
   // only costs a fallback, never a wrong answer: failed replies can't
   // satisfy R.
   std::vector<std::uint64_t> affected;
-  for (const auto& [req, get] : ss.pending_gets) {
+  for (const auto& [req, get] : pending_gets_) {
     if (get.replies.count(from) > 0) continue;
     if (from == get.plan.verify_at ||
         std::find(get.plan.targets.begin(), get.plan.targets.end(), from) !=
@@ -1055,17 +886,16 @@ void StorageNode::HandleCorruptGetAck(ShardState& ss, const std::string& from) {
     }
   }
   for (std::uint64_t req : affected) {
-    auto it = ss.pending_gets.find(req);
-    if (it == ss.pending_gets.end()) continue;  // concluded by a prior turn
+    auto it = pending_gets_.find(req);
+    if (it == pending_gets_.end()) continue;  // concluded by a prior turn
     it->second.replies.emplace(from, GetReply{});  // ok = false
-    DecideGet(ss, req, &it->second, /*deadline=*/false);
+    DecideGet(req, &it->second, /*deadline=*/false);
   }
 }
 
-void StorageNode::HandleGetAck(ShardState& ss, const std::string& from,
-                               GetAckMsg ack) {
-  auto it = ss.pending_gets.find(ack.req);
-  if (it == ss.pending_gets.end()) return;
+void StorageNode::HandleGetAck(const std::string& from, GetAckMsg ack) {
+  auto it = pending_gets_.find(ack.req);
+  if (it == pending_gets_.end()) return;
   PendingGet& get = it->second;
   if (get.replies.count(from) > 0) return;  // duplicate
   if (ack.ok && !ack.digest) {
@@ -1085,11 +915,10 @@ void StorageNode::HandleGetAck(ShardState& ss, const std::string& from,
   reply.digest_ts = ack.digest_ts;
   reply.digest_origin = std::move(ack.digest_origin);
   get.replies.emplace(from, std::move(reply));
-  DecideGet(ss, ack.req, &get, /*deadline=*/false);
+  DecideGet(ack.req, &get, /*deadline=*/false);
 }
 
-void StorageNode::FinalizeGet(ShardState& ss, std::uint64_t req,
-                              PendingGet* get) {
+void StorageNode::FinalizeGet(std::uint64_t req, PendingGet* get) {
   // Read repair (§5.2.2): "the Get operation gets all replications of the
   // specified key, and checks the number of replication. If replications
   // are less than N ... some more replications are supplemented."
@@ -1109,14 +938,14 @@ void StorageNode::FinalizeGet(ShardState& ss, std::uint64_t req,
           !reply_it->second.found ||
           core::SupersedesLww(*winner, reply_it->second.record);
       if (!needs_repair) continue;
-      if (LivenessOf(ss, target) == gossip::Liveness::kDead) {
+      if (detector_->StatusOf(target) == gossip::Liveness::kDead) {
         // A dead node cannot take the repair; the message would sit in
         // the transport's bounded outbound queue until dropped. Park it
         // as a hint instead (when handoff is on) so the write-back timer
         // delivers it once the node returns.
-        ++ss.stats.read_repairs_skipped_dead;
+        ++stats_.read_repairs_skipped_dead;
         if (config_.hinted_handoff) {
-          ss.hints->Add(target, core::AsReplicaCopy(*winner),
+          hints_.Add(target, core::AsReplicaCopy(*winner),
                         transport_->NowMicros());
         }
         continue;
@@ -1125,49 +954,48 @@ void StorageNode::FinalizeGet(ShardState& ss, std::uint64_t req,
       repair.req = 0;  // fire-and-forget
       repair.record = core::AsReplicaCopy(*winner);
       SendToNode(target, kMsgPutReplica, EncodePutReplica(repair));
-      ++ss.stats.read_repairs;
+      ++stats_.read_repairs;
     }
   }
-  ss.executor->CancelTimer(get->timeout_event);
-  ss.pending_gets.erase(req);
+  transport_->CancelTimer(get->timeout_event);
+  pending_gets_.erase(req);
 }
 
-void StorageNode::OnGetTimeout(ShardState& ss, std::uint64_t req) {
-  auto it = ss.pending_gets.find(req);
-  if (it == ss.pending_gets.end()) return;
-  DecideGet(ss, req, &it->second, /*deadline=*/true);
+void StorageNode::OnGetTimeout(std::uint64_t req) {
+  auto it = pending_gets_.find(req);
+  if (it == pending_gets_.end()) return;
+  DecideGet(req, &it->second, /*deadline=*/true);
 }
 
 // --- dirty-set bookkeeping (fast consistent reads) --------------------------
 
-void StorageNode::MarkKeyDirty(ShardState& ss, const std::string& key) {
+void StorageNode::MarkKeyDirty(const std::string& key) {
   if (config_.read_path == ReadPath::kQuorum) return;
-  DirtyEntry& entry = ss.dirty_keys[key];
+  DirtyEntry& entry = dirty_keys_[key];
   ++entry.inflight;
   entry.last_write = transport_->NowMicros();
   // Amortized sweep: retire entries whose quiescence window lapsed so the
   // map tracks the recently-written working set, not every key ever
   // written through this coordinator.
-  if (ss.dirty_sweep_countdown == 0) {
-    ss.dirty_sweep_countdown = 256;
+  if (dirty_sweep_countdown_ == 0) {
+    dirty_sweep_countdown_ = 256;
     const Micros now = transport_->NowMicros();
-    for (auto it = ss.dirty_keys.begin(); it != ss.dirty_keys.end();) {
+    for (auto it = dirty_keys_.begin(); it != dirty_keys_.end();) {
       const DirtyEntry& aged = it->second;
       if (aged.inflight == 0 &&
           now - aged.last_write >= kFastReadQuiescence) {
-        it = ss.dirty_keys.erase(it);
+        it = dirty_keys_.erase(it);
       } else {
         ++it;
       }
     }
   }
-  --ss.dirty_sweep_countdown;
+  --dirty_sweep_countdown_;
 }
 
-void StorageNode::RetireDirtyKey(ShardState& ss, const std::string& key,
-                                 bool settled_all_n) {
-  auto it = ss.dirty_keys.find(key);
-  if (it == ss.dirty_keys.end()) return;
+void StorageNode::RetireDirtyKey(const std::string& key, bool settled_all_n) {
+  auto it = dirty_keys_.find(key);
+  if (it == dirty_keys_.end()) return;
   DirtyEntry& entry = it->second;
   entry.inflight = std::max(0, entry.inflight - 1);
   entry.last_write = transport_->NowMicros();
@@ -1175,12 +1003,12 @@ void StorageNode::RetireDirtyKey(ShardState& ss, const std::string& key,
   // holders left every replica with its (newer by LWW) value, so whatever
   // an earlier write missed no longer matters for freshness.
   entry.unsettled = !settled_all_n;
-  if (entry.inflight == 0 && !entry.unsettled) ss.dirty_keys.erase(it);
+  if (entry.inflight == 0 && !entry.unsettled) dirty_keys_.erase(it);
 }
 
-bool StorageNode::KeyIsCleanOnShard(ShardState& ss, const std::string& key) {
-  auto it = ss.dirty_keys.find(key);
-  if (it == ss.dirty_keys.end()) return true;
+bool StorageNode::KeyIsClean(const std::string& key) {
+  auto it = dirty_keys_.find(key);
+  if (it == dirty_keys_.end()) return true;
   const DirtyEntry& entry = it->second;
   if (entry.inflight > 0) return false;
   if (transport_->NowMicros() - entry.last_write <
@@ -1189,35 +1017,16 @@ bool StorageNode::KeyIsCleanOnShard(ShardState& ss, const std::string& key) {
   }
   // Aged out: the quiescence window lapsed with nothing in flight, giving
   // read repair and anti-entropy time to settle whatever the write missed.
-  ss.dirty_keys.erase(it);
+  dirty_keys_.erase(it);
   return true;
-}
-
-bool StorageNode::KeyIsClean(const std::string& key) {
-  const int shard = ShardOfKey(key);
-  bool clean = false;
-  sharded_->PostSync(shard, [this, shard, &key, &clean] {
-    clean = KeyIsCleanOnShard(*shards_[shard], key);
-  });
-  return clean;
-}
-
-std::size_t StorageNode::DirtyKeyCount() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    const ShardState* ss = shard.get();
-    sharded_->PostSync(ss->index,
-                       [ss, &total] { total += ss->dirty_keys.size(); });
-  }
-  return total;
 }
 
 // --- observability ----------------------------------------------------------
 
-void StorageNode::RecordPutOutcome(ShardState& ss, const PendingPut& put,
-                                   std::uint64_t req, bool ok) {
+void StorageNode::RecordPutOutcome(const PendingPut& put, std::uint64_t req,
+                                   bool ok) {
   const Micros total = transport_->NowMicros() - put.started_at;
-  ss.put_latency_hist.Record(total);
+  put_latency_hist_.Record(total);
   metrics::TraceRecord trace;
   trace.req = req;
   trace.op = metrics::TraceOp::kPut;
@@ -1231,18 +1040,18 @@ void StorageNode::RecordPutOutcome(ShardState& ss, const PendingPut& put,
   trace.network_micros =
       std::max<Micros>(0, total - put.last_queue - put.last_service);
   trace.ok = ok;
-  ss.traces.Add(std::move(trace));
+  traces_.Add(std::move(trace));
 }
 
-void StorageNode::RecordGetOutcome(ShardState& ss, const PendingGet& get,
-                                   std::uint64_t req, bool ok) {
+void StorageNode::RecordGetOutcome(const PendingGet& get, std::uint64_t req,
+                                   bool ok) {
   const Micros total = transport_->NowMicros() - get.started_at;
-  ss.get_latency_hist.Record(total);
+  get_latency_hist_.Record(total);
   // Demoted reads record on the quorum histogram under their *original*
   // start time: the fast detour they took is part of the latency the
   // caller observed, not a separate measurement.
-  (get.plan.demote_on_failure ? ss.fast_get_latency_hist
-                               : ss.quorum_get_latency_hist)
+  (get.plan.demote_on_failure ? fast_get_latency_hist_
+                               : quorum_get_latency_hist_)
       .Record(total);
   metrics::TraceRecord trace;
   trace.req = req;
@@ -1257,135 +1066,57 @@ void StorageNode::RecordGetOutcome(ShardState& ss, const PendingGet& get,
   trace.network_micros =
       std::max<Micros>(0, total - get.last_queue - get.last_service);
   trace.ok = ok;
-  ss.traces.Add(std::move(trace));
-}
-
-NodeStats StorageNode::stats() const {
-  NodeStats merged;
-  for (const auto& shard : shards_) {
-    const ShardState* ss = shard.get();
-    sharded_->PostSync(ss->index,
-                       [ss, &merged] { merged.MergeFrom(ss->stats); });
-  }
-  return merged;
-}
-
-HeatSnapshot StorageNode::heat_snapshot() const {
-  HeatSnapshot merged;
-  const Micros now = transport_->NowMicros();
-  const std::size_t capacity = config_.heat.capacity;
-  for (const auto& shard : shards_) {
-    const ShardState* ss = shard.get();
-    sharded_->PostSync(ss->index, [ss, &merged, now, capacity] {
-      merged.MergeFrom(ss->heat.Snapshot(now), capacity);
-    });
-  }
-  return merged;
-}
-
-metrics::Histogram StorageNode::put_latency_histogram() const {
-  metrics::Histogram merged;
-  for (const auto& shard : shards_) {
-    const ShardState* ss = shard.get();
-    sharded_->PostSync(ss->index,
-                       [ss, &merged] { merged.MergeFrom(ss->put_latency_hist); });
-  }
-  return merged;
-}
-
-metrics::Histogram StorageNode::get_latency_histogram() const {
-  metrics::Histogram merged;
-  for (const auto& shard : shards_) {
-    const ShardState* ss = shard.get();
-    sharded_->PostSync(ss->index,
-                       [ss, &merged] { merged.MergeFrom(ss->get_latency_hist); });
-  }
-  return merged;
-}
-
-metrics::Histogram StorageNode::fast_get_latency_histogram() const {
-  metrics::Histogram merged;
-  for (const auto& shard : shards_) {
-    const ShardState* ss = shard.get();
-    sharded_->PostSync(ss->index, [ss, &merged] {
-      merged.MergeFrom(ss->fast_get_latency_hist);
-    });
-  }
-  return merged;
-}
-
-metrics::Histogram StorageNode::quorum_get_latency_histogram() const {
-  metrics::Histogram merged;
-  for (const auto& shard : shards_) {
-    const ShardState* ss = shard.get();
-    sharded_->PostSync(ss->index, [ss, &merged] {
-      merged.MergeFrom(ss->quorum_get_latency_hist);
-    });
-  }
-  return merged;
-}
-
-std::vector<metrics::TraceRecord> StorageNode::TraceSnapshot() const {
-  std::vector<metrics::TraceRecord> merged;
-  for (const auto& shard : shards_) {
-    const ShardState* ss = shard.get();
-    sharded_->PostSync(ss->index, [ss, &merged] {
-      std::vector<metrics::TraceRecord> snap = ss->traces.Snapshot();
-      merged.insert(merged.end(), std::make_move_iterator(snap.begin()),
-                    std::make_move_iterator(snap.end()));
-    });
-  }
-  return merged;
+  traces_.Add(std::move(trace));
 }
 
 // --- hinted handoff write-back ----------------------------------------------
 
-void StorageNode::StartHintTimer(ShardState& ss) {
-  ss.hint_timer = ss.executor->ScheduleTimer(
-      kHintRetryInterval, [this, &ss]() {
+void StorageNode::StartHintTimer() {
+  hint_timer_ = transport_->ScheduleTimer(
+      kHintRetryInterval, [this]() {
         if (!running_) return;
-        DeliverHints(ss);
-        StartHintTimer(ss);
+        DeliverHints();
+        StartHintTimer();
       });
 }
 
-void StorageNode::DeliverHints(ShardState& ss) {
-  for (const std::string& target : ss.hints->Targets()) {
+void StorageNode::DeliverHints() {
+  for (const std::string& target : hints_.Targets()) {
     // "It detects the node B periodically by heartbeat service. When it
     // finds that the B node is on-line again, ... write the data back."
-    if (LivenessOf(ss, target) != gossip::Liveness::kAlive) continue;
-    if (!RingOf(ss).HasNode(target)) {
+    if (detector_->StatusOf(target) != gossip::Liveness::kAlive) continue;
+    if (!ring_.HasNode(target)) {
       // The target was permanently removed; drop its hints (the data was
       // re-replicated by long-failure repair).
-      for (const Hint& hint : ss.hints->ForTarget(target)) {
-        ss.hints->Remove(hint.id);
+      for (const Hint& hint : hints_.ForTarget(target)) {
+        hints_.Remove(hint.id);
       }
       continue;
     }
-    for (const Hint& hint : ss.hints->ForTarget(target)) {
+    for (const Hint& hint : hints_.ForTarget(target)) {
       SendToNode(target, kMsgHandoffDeliver,
                  EncodeHandoffDeliver(hint.id, hint.record));
     }
   }
 }
 
-void StorageNode::HandleHandoffAck(ShardState& ss, HandoffAckMsg ack) {
+void StorageNode::HandleHandoffAck(HandoffAckMsg ack) {
   if (!ack.ok) return;
-  const Hint* hint = ss.hints->Find(ack.hint_id);
+  const Hint* hint = hints_.Find(ack.hint_id);
   if (hint == nullptr) return;  // already acked by an earlier retry
   const std::string key = core::RecordSelfKey(hint->record);
-  ss.hints->Remove(ack.hint_id);
-  ++ss.stats.hints_delivered;
+  hints_.Remove(ack.hint_id);
+  ++stats_.hints_delivered;
   // The write-back is done: drop the temporary local copy unless this node
   // is a preference member for the key (then the copy is a real replica)
   // or other hints still reference it. Without this purge the substitute
   // keeps an unowned replica forever — anti-entropy only reconciles
   // preference members, so that orphan goes stale on the next write and
   // the replica set never converges back to byte-identical.
-  if (ss.hints->HasHintForKey(key)) return;
-  std::vector<std::string> prefs = PreferenceNodes(ss, key);
+  if (hints_.HasHintForKey(key)) return;
+  std::vector<std::string> prefs = PreferenceNodes(key);
   if (std::find(prefs.begin(), prefs.end(), id_) == prefs.end()) {
-    Status purged = ss.store->Purge(key);
+    Status purged = store_->Purge(key);
     (void)purged;
   }
 }
@@ -1395,7 +1126,6 @@ void StorageNode::HandleHandoffAck(ShardState& ss, HandoffAckMsg ack) {
 void StorageNode::OnDetectorTransition(const std::string& endpoint,
                                        gossip::Liveness /*from*/,
                                        gossip::Liveness to) {
-  SyncShardLiveness(endpoint, to);
   if (to == gossip::Liveness::kDead && spec_.is_seed) {
     // "The seed nodes are responsible for detecting 'long failure' nodes."
     HOTMAN_LOG(kInfo) << id_ << ": seed detected long failure of " << endpoint;  // NOLINT(hotman-transitive-blocking) leaf log sink: bounded lock-copy + stderr write, log text is not replay state
@@ -1422,14 +1152,12 @@ void StorageNode::OnNodeRemoved(const std::string& node) {
     // local view — no repair against our own removal.
     Status s = ring_.RemoveNode(node);
     (void)s;
-    SyncShardRings();
     return;
   }
   const hashring::Ring before = ring_;
   Status s = ring_.RemoveNode(node);
   (void)s;
   removed_nodes_.insert(node);
-  SyncShardRings();
   // Fig. 9: "node removing will cause the number of the replications of
   // data decreasing. So some new replicas should be created and distributed
   // to other nodes." With the rebalancer on, only the designated source per
@@ -1448,7 +1176,6 @@ void StorageNode::OnNodeAdded(const std::string& node, int vnodes) {
   Status s = ring_.AddNode(node, vnodes);
   if (!s.ok()) return;
   gossiper_->AddPeer(node);
-  SyncShardRings();
   // "The mapping and migrating operation are executed by the next physical
   // node on the ring": stream the arcs the newcomer now owns to it and drop
   // what this node no longer holds a preference slot for.
@@ -1471,24 +1198,14 @@ void StorageNode::AnnounceAddition(const std::string& node, int vnodes) {
   OnNodeAdded(node, vnodes);
 }
 
-std::vector<bson::Document> StorageNode::AllShardRecords() {
-  // Shard-0 / rebalance path: reads every shard's store partition directly.
-  // Safe without a mailbox hop because the docstore serializes access
-  // internally (SharedMutex per collection) and rebalancing only needs a
-  // point-in-time snapshot, not the owning shard's view.
-  std::vector<bson::Document> all;
-  for (const auto& shard : shards_) {
-    auto records = StoreOfShard(shard->index)->AllRecords();  // NOLINT(hotman-shard-affinity) docstore-locked snapshot read from the rebalance path
-    if (!records.ok()) continue;
-    all.insert(all.end(), std::make_move_iterator(records->begin()),
-               std::make_move_iterator(records->end()));
-  }
-  return all;
+std::vector<bson::Document> StorageNode::LocalRecords() {
+  auto records = store_->AllRecords();
+  if (!records.ok()) return {};
+  return std::move(*records);
 }
 
 void StorageNode::ReplicateLocalData(bool purge_unowned) {
-  ShardState& system = *shards_[0];
-  for (const bson::Document& record : AllShardRecords()) {
+  for (const bson::Document& record : LocalRecords()) {
     const std::string key = core::RecordSelfKey(record);
     std::vector<std::string> prefs = ring_.PreferenceList(
         key, config_.replication_factor);
@@ -1502,10 +1219,10 @@ void StorageNode::ReplicateLocalData(bool purge_unowned) {
       msg.req = 0;  // fire-and-forget; LWW makes it idempotent
       msg.record = core::AsReplicaCopy(record);
       SendToNode(target, kMsgPutReplica, EncodePutReplica(msg));
-      ++system.stats.rereplications;
+      ++stats_.rereplications;
     }
     if (purge_unowned && !self_owns && !config_.chaos_skip_ownership_purge) {
-      Status s = StoreForKey(key)->Purge(key);  // NOLINT(hotman-shard-affinity) docstore-locked purge from the rebalance path
+      Status s = store_->Purge(key);
       (void)s;
     }
   }
@@ -1520,34 +1237,27 @@ void StorageNode::SetupRebalancer() {
                     bson::Document body) {
     SendToNode(to, type, std::move(body));
   };
-  env.snapshot = [this] { return AllShardRecords(); };
+  env.snapshot = [this] { return LocalRecords(); };
   env.lookup = [this](const std::string& key) {
-    return StoreForKey(key)->GetByKey(key);  // NOLINT(hotman-shard-affinity) docstore-locked point read from the rebalance path
+    return store_->GetByKey(key);
   };
   // Target-side apply: route the pushed record through the service station
-  // and the key's shard exactly like foreground replica traffic (that
-  // contention is what the throttle bounds), then hop home to shard 0 so
-  // the rebalancer's watermark bookkeeping stays system-shard-affine.
+  // exactly like foreground replica traffic (that contention is what the
+  // throttle bounds).
   env.apply = [this](const bson::Document& record,
                      std::function<void(bool ok)> done) {
     const std::size_t bytes = bson::EncodedSize(record);
-    const int shard = ShardOfKey(core::RecordSelfKey(record));
-    auto settle = [this, done = std::move(done)](bool ok) {
-      RunOnShard(0, [done, ok] { done(ok); });
-    };
-    const bool admitted = SubmitWork(
-        bytes, [this, shard, record, settle](Micros, Micros) {
-          RunOnShard(shard, [this, shard, record, settle] {
-            if (!running_ || !server_->CheckAvailable().ok()) {
-              settle(false);
-              return;
-            }
-            auto applied = shards_[shard]->store->Apply(record);
-            if (applied.ok()) ++shards_[shard]->stats.replica_puts_applied;
-            settle(applied.ok());
-          });
+    const bool admitted =
+        SubmitWork(bytes, [this, record, done](Micros, Micros) {
+          if (!running_ || !server_->CheckAvailable().ok()) {
+            done(false);
+            return;
+          }
+          auto applied = store_->Apply(record);
+          if (applied.ok()) ++stats_.replica_puts_applied;
+          done(applied.ok());
         });
-    if (!admitted) settle(false);
+    if (!admitted) done(false);
   };
   env.available = [this] { return running_ && server_->CheckAvailable().ok(); };
   env.peer_known = [this](const hashring::NodeId& peer) {
@@ -1573,7 +1283,7 @@ void StorageNode::StartPlannedTransfers(const hashring::Ring& before) {
     // Sweep again once our own streams land: keys deferred by SourcingKey
     // (arcs this node both loses and sources, e.g. N=1 or a self-reweight)
     // become purgeable exactly then.
-    rebalancer_->StartTransfers(steps, [this] {  // NOLINT(hotman-shard-affinity) membership handlers run on shard 0, the rebalancer's home shard
+    rebalancer_->StartTransfers(steps, [this] {
       if (running_) RunOwnershipSweep(/*push_before_purge=*/false);
     });
   }
@@ -1622,18 +1332,17 @@ void StorageNode::StartDecommission(std::function<void(const Status&)> done) {
   };
   // PlanDecommission sources every lost arc here (survivors re-plan the
   // same diff on the announce; the overlap is idempotent under LWW).
-  rebalancer_->StartTransfers(steps, std::move(finish));  // NOLINT(hotman-shard-affinity) decommission starts on shard 0, the rebalancer's home shard
+  rebalancer_->StartTransfers(steps, std::move(finish));
 }
 
 void StorageNode::RunOwnershipSweep(bool push_before_purge) {
   if (!running_) return;
-  ShardState& system = *shards_[0];
-  for (const bson::Document& record : AllShardRecords()) {
+  for (const bson::Document& record : LocalRecords()) {
     const std::string key = core::RecordSelfKey(record);
     std::vector<std::string> prefs =
         ring_.PreferenceList(key, config_.replication_factor);
     if (std::find(prefs.begin(), prefs.end(), id_) != prefs.end()) continue;
-    if (rebalancer_->SourcingKey(key)) continue;  // purge at stream completion  // NOLINT(hotman-shard-affinity) the ownership sweep runs on shard 0, the rebalancer's home shard
+    if (rebalancer_->SourcingKey(key)) continue;  // purge at stream completion
     if (push_before_purge) {
       // Rejoin path: this node may be the sole holder of a pre-crash write,
       // so hand the record to its preference holders before dropping it.
@@ -1642,13 +1351,13 @@ void StorageNode::RunOwnershipSweep(bool push_before_purge) {
         msg.req = 0;  // fire-and-forget; LWW makes it idempotent
         msg.record = core::AsReplicaCopy(record);
         SendToNode(target, kMsgPutReplica, EncodePutReplica(msg));
-        ++system.stats.rereplications;
+        ++stats_.rereplications;
       }
     }
     if (config_.chaos_skip_ownership_purge) continue;
-    Status s = StoreForKey(key)->Purge(key);  // NOLINT(hotman-shard-affinity) docstore-locked purge from the rebalance path
+    Status s = store_->Purge(key);
     (void)s;
-    ++system.stats.rebalance_purges;
+    ++stats_.rebalance_purges;
   }
 }
 
@@ -1671,7 +1380,6 @@ void StorageNode::ApplyReweight(const std::string& node, int vnodes) {
   (void)removed;
   Status added = ring_.AddNode(node, vnodes);
   (void)added;
-  SyncShardRings();
   if (config_.rebalance.enabled) {
     StartPlannedTransfers(before);
   } else {
@@ -1693,10 +1401,7 @@ void StorageNode::RunAutonomicCheck() {
   // gossip, and when it exceeds `imbalance_threshold` times the cluster
   // mean, shed a quarter of our ring weight — the reweight streams the
   // released arcs out and peers learn the new weight via kStateVnodes.
-  std::size_t local = 0;
-  for (const auto& shard : shards_) {
-    local += StoreOfShard(shard->index)->NumRecords();  // NOLINT(hotman-shard-affinity) docstore-locked count from the rebalance path
-  }
+  const std::size_t local = store_->NumRecords();
   gossiper_->SetLocalState(gossip::kStateLoad, std::to_string(local));
   if (decommissioning_) return;
 

@@ -14,14 +14,11 @@
 #include "cluster/replica_store.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/thread_annotations.h"
 #include "core/record.h"
 #include "docstore/server.h"
 #include "gossip/failure_detector.h"
 #include "gossip/gossiper.h"
-#include "hashring/ketama.h"
 #include "hashring/ring.h"
-#include "net/sharded_executor.h"
 #include "net/transport.h"
 #include "rebalance/rebalancer.h"
 #include "sim/failure_injector.h"
@@ -63,7 +60,7 @@ struct NodeStats {
   std::size_t ae_pushed = 0;            ///< records pushed by anti-entropy
   std::size_t ae_requested = 0;         ///< records pulled by anti-entropy
 
-  /// Field-wise sum (merging per-shard counters for /stats).
+  /// Field-wise sum (the cluster-wide rollup for /stats).
   void MergeFrom(const NodeStats& other);
 };
 
@@ -81,36 +78,17 @@ struct NodeStats {
 /// Every node can coordinate client requests ("clients can connect to any
 /// node in the system to get/put data").
 ///
-/// ### Shard-per-core runtime
-///
-/// The node is internally partitioned into `config.shards` shards, each
-/// owning a contiguous arc of the consistent-hash point space
-/// (net::ShardedExecutor::ShardForPoint). All *keyed* coordinator and
-/// replica state — the pending put/get tables, the dirty set, the hint
-/// ledger, the replica store partition, per-op timers, stats, histograms
-/// and traces — is shard-local and only ever touched in that shard's
-/// execution context (net::ShardContext). Requests hop between shards via
-/// RunOnShard (SPSC mailboxes when threaded, deterministic zero-delay
-/// events in simulation); request ids carry their home shard in the low
-/// kShardBits so acks route back without any shared lookup. Shard 0 is the
-/// system shard: gossip, the failure detector, membership and anti-entropy
-/// stay there, and it broadcasts ring/liveness snapshots to the other
-/// shards on every change.
+/// The whole node runs on one executor, its transport: every handler,
+/// timer and completion runs on that one loop (the simulator's event loop,
+/// or the TcpTransport thread in hotmand), so no node state is locked.
+/// A deployment scales by running more nodes, not by partitioning one.
 class StorageNode {
  public:
-  /// Bits of a request id reserved for the originating shard (so acks
-  /// route home without shared state). Caps shards at 64 per node.
-  static constexpr int kShardBits = 6;
-  static constexpr std::uint64_t kShardMask = (1u << kShardBits) - 1;
-
   /// `transport` carries messages and timers; `injector` may be null
-  /// (no fault injection — the real daemon). `sharded` may be null: the
-  /// node then builds its own non-threaded (deterministic) shard runtime
-  /// over `transport` with `config.shards` shards. The real daemon passes
-  /// a started threaded ShardedExecutor instead.
+  /// (no fault injection — the real daemon).
   StorageNode(const NodeSpec& spec, const ClusterConfig& config,
               net::Transport* transport, sim::FailureInjector* injector,
-              std::uint64_t rng_seed, net::ShardedExecutor* sharded = nullptr);
+              std::uint64_t rng_seed);
   ~StorageNode();
 
   StorageNode(const StorageNode&) = delete;
@@ -127,9 +105,8 @@ class StorageNode {
   // --- client (coordinator) API -------------------------------------------
 
   /// Coordinates a write of (key, value): builds the record, replicates to
-  /// the N preference nodes, succeeds at W acks (§5.2.2). Runs on the
-  /// key's shard; `cb` fires in that shard's context. The record shares
-  /// `value`'s buffer with the caller.
+  /// the N preference nodes, succeeds at W acks (§5.2.2). The record
+  /// shares `value`'s buffer with the caller.
   void CoordinatePut(const std::string& key, bson::Binary value, PutCallback cb);
 
   /// Logical delete: a tombstone write (isDel=1) through the same quorum.
@@ -210,32 +187,10 @@ class StorageNode {
   const std::string& id() const { return id_; }
   bool is_seed() const { return spec_.is_seed; }
   const hashring::Ring& ring() const { return ring_; }
-  /// Shard partitioning of this node's key space.
-  int num_shards() const { return sharded_->num_shards(); }
-  /// Shard owning `key`: its ketama ring position, mapped onto the shard
-  /// arcs (net/ stays hash-agnostic, so the hash happens here).
-  int ShardOfKey(const std::string& key) const {
-    return net::ShardedExecutor::ShardForPoint(hashring::KetamaHash(key),
-                                               sharded_->num_shards());
-  }
-  /// Shard 0's replica store (the only one at shards = 1; multi-shard
-  /// callers scan every shard via StoreOfShard).
-  ReplicaStore* store() { return shards_[0]->store.get(); }
-  /// The replica store partition of shard `shard`. Affine: the partition
-  /// belongs to that shard's context; off-shard callers need a mailbox
-  /// hop or a docstore-locked snapshot justification.
-  ReplicaStore* StoreOfShard(int shard) HOTMAN_SHARD_AFFINE {
-    return shards_[shard]->store.get();
-  }
-  /// The replica store partition owning `key` (affine, as above).
-  ReplicaStore* StoreForKey(const std::string& key) HOTMAN_SHARD_AFFINE {
-    return shards_[ShardOfKey(key)]->store.get();
-  }
-  /// Shard 0's hint ledger (the only one at shards = 1).
-  HintStore* hints() { return shards_[0]->hints.get(); }
-  HintStore* HintsOfShard(int shard) HOTMAN_SHARD_AFFINE {
-    return shards_[shard]->hints.get();
-  }
+  /// The node's replica store (the lower layer's record collection).
+  ReplicaStore* store() { return store_.get(); }
+  /// The node's hint ledger (writes held for unreachable replicas).
+  HintStore* hints() { return &hints_; }
   gossip::Gossiper* gossiper() { return gossiper_.get(); }
   gossip::FailureDetector* detector() { return detector_.get(); }
   docstore::DocStoreServer* server() { return server_.get(); }
@@ -245,35 +200,43 @@ class StorageNode {
   /// handlers (client_put/get/...) here so one endpoint serves both cluster
   /// and client traffic.
   net::Dispatcher* dispatcher() { return &dispatcher_; }
-  /// Merged per-shard operation counters (safe from any thread: shard
-  /// counters are gathered in each shard's own context).
-  NodeStats stats() const;
+  /// Operation counters. Like every accessor below, call it on the node's
+  /// loop (or while the loop is idle).
+  const NodeStats& stats() const { return stats_; }
 
-  /// Merged per-shard heat snapshot (top-k keys, qps, skew coefficient) at
-  /// the transport's current time. Same cross-shard gather discipline as
-  /// stats().
-  HeatSnapshot heat_snapshot() const;
+  /// Heat snapshot (top-k keys, qps, skew coefficient) at the transport's
+  /// current time.
+  HeatSnapshot heat_snapshot() const {
+    return heat_.Snapshot(transport_->NowMicros());
+  }
 
   /// Coordinated-operation latency (enqueue -> outcome callback), success
-  /// and failure combined, merged across shards; the cluster layer merges
-  /// these for /stats.
-  metrics::Histogram put_latency_histogram() const;
-  metrics::Histogram get_latency_histogram() const;
+  /// and failure combined; the cluster layer merges these for /stats.
+  const metrics::Histogram& put_latency_histogram() const {
+    return put_latency_hist_;
+  }
+  const metrics::Histogram& get_latency_histogram() const {
+    return get_latency_hist_;
+  }
   /// Per-path read latency: reads decided by the single-replica fast path
   /// vs. reads that went through (or demoted to) the R-quorum fan-out.
-  metrics::Histogram fast_get_latency_histogram() const;
-  metrics::Histogram quorum_get_latency_histogram() const;
+  const metrics::Histogram& fast_get_latency_histogram() const {
+    return fast_get_latency_hist_;
+  }
+  const metrics::Histogram& quorum_get_latency_histogram() const {
+    return quorum_get_latency_hist_;
+  }
 
   /// Dirty-set introspection (tests + /stats): true when a read of `key`
   /// issued now would be eligible for the single-replica fast path as far
   /// as the dirty set is concerned. Lazily retires aged-out entries.
-  /// Synchronizes with the key's shard.
   bool KeyIsClean(const std::string& key);
-  std::size_t DirtyKeyCount() const;
+  std::size_t DirtyKeyCount() const { return dirty_keys_.size(); }
 
-  /// Recent per-request trace records coordinated by this node, merged
-  /// across shards.
-  std::vector<metrics::TraceRecord> TraceSnapshot() const;
+  /// Recent per-request trace records coordinated by this node.
+  std::vector<metrics::TraceRecord> TraceSnapshot() const {
+    return traces_.Snapshot();
+  }
 
   /// Nodes this node believes are cluster members (on its ring).
   std::vector<std::string> KnownMembers() const { return ring_.Nodes(); }
@@ -285,9 +248,6 @@ class StorageNode {
   /// restores an honest clock.
   void SetClockSkew(Micros skew) { clock_skew_ = skew; }
   Micros clock_skew() const { return clock_skew_; }
-
-  /// The shard runtime in use (owned or injected).
-  net::ShardedExecutor* sharded() { return sharded_; }
 
  private:
   struct PendingPut {
@@ -371,137 +331,68 @@ class StorageNode {
     bool unsettled = false; ///< a decided write missed >= 1 preference holder
   };
 
-  /// One shard's slice of the node: everything keyed work touches. Only
-  /// ever accessed in the shard's execution context (its reactor thread in
-  /// the real daemon; its ShardContext scope in simulation) — no locks.
-  struct ShardState {
-    int index = 0;
-    /// The executor this shard's timers run on (the shard's reactor when
-    /// threaded; the node's base transport otherwise).
-    net::Executor* executor = nullptr;
-    std::unique_ptr<ReplicaStore> store;
-    std::unique_ptr<HintStore> hints;
-    /// Shard-local membership view. Threaded shards > 0 work from ring /
-    /// liveness snapshots broadcast by shard 0 on every change; shard 0
-    /// (and every shard of the single-threaded runtime) reads the masters
-    /// directly. An endpoint absent from `liveness` is kAlive, matching
-    /// the failure detector's default for never-heard-of peers.
-    hashring::Ring ring;
-    std::map<std::string, gossip::Liveness> liveness;
-    std::uint64_t next_seq = 1;  ///< request ids: (next_seq << kShardBits) | index
-    std::map<std::uint64_t, PendingPut> pending_puts;
-    std::map<std::uint64_t, PendingGet> pending_gets;
-    std::map<std::string, DirtyEntry> dirty_keys;
-    std::uint64_t dirty_sweep_countdown = 0;  ///< periodic expired-entry sweep
-    /// Per-key operation heat of this shard's arc (space-saving sketch with
-    /// exponential decay); feeds the hot-read rotation and /stats heat.*.
-    HeatTracker heat;
-    net::TimerId hint_timer = 0;
-    NodeStats stats;
-    metrics::Histogram put_latency_hist;
-    metrics::Histogram get_latency_hist;
-    metrics::Histogram fast_get_latency_hist;
-    metrics::Histogram quorum_get_latency_hist;
-    metrics::TraceBuffer traces{256};
-  };
-
   // Message plumbing. Handlers are registered per type on dispatcher_;
-  // the transport invokes them on its event thread (= shard 0), and keyed
-  // handlers immediately hop to the owning shard.
+  // the transport invokes them on its event thread.
   void RegisterHandlers();
   void SendToNode(const std::string& to, const std::string& type,
                   bson::Document body);
-  /// Runs `fn` in shard `shard`'s context (inline when already there).
-  void RunOnShard(int shard, std::function<void()> fn);
-  /// Shard that owns request id `req` (its low kShardBits).
-  int ShardOfReq(std::uint64_t req) const {
-    return static_cast<int>(req & kShardMask) % sharded_->num_shards();
-  }
   /// Runs replica-side work through the ServiceStation when service-time
   /// modeling is on, or inline (zero modeled delay) when off. Returns
   /// false when the station shed the request.
   bool SubmitWork(std::size_t payload_bytes, sim::ServiceStation::Done done);
 
-  /// Shard-local membership accessors (the snapshot story above).
-  const hashring::Ring& RingOf(const ShardState& ss) const;
-  gossip::Liveness LivenessOf(const ShardState& ss,
-                              const std::string& node) const;
-  /// Broadcasts the master ring / a liveness transition to threaded
-  /// shards > 0. Shard-0 context only.
-  void SyncShardRings();
-  void SyncShardLiveness(const std::string& endpoint, gossip::Liveness to);
+  // Replica-side handlers (the normal message handling process).
+  void HandlePutReplica(const std::string& from, PutReplicaMsg msg);
+  void HandleGetReplica(const std::string& from, GetReplicaMsg msg);
+  void HandleHintStore(const std::string& from, HintStoreMsg msg);
+  void HandleHandoffDeliver(const std::string& from, std::uint64_t hint_id,
+                            bson::Document record);
 
-  // Replica-side handlers (the normal message handling process). Run on
-  // the key's shard.
-  void HandlePutReplica(ShardState& ss, const std::string& from,
-                        PutReplicaMsg msg) HOTMAN_SHARD_AFFINE;
-  void HandleGetReplica(ShardState& ss, const std::string& from,
-                        GetReplicaMsg msg) HOTMAN_SHARD_AFFINE;
-  void HandleHintStore(ShardState& ss, const std::string& from,
-                       HintStoreMsg msg) HOTMAN_SHARD_AFFINE;
-  void HandleHandoffDeliver(ShardState& ss, const std::string& from,
-                            std::uint64_t hint_id,
-                            bson::Document record) HOTMAN_SHARD_AFFINE;
+  // Coordinator-side handlers.
+  void HandlePutAck(const std::string& from, PutAckMsg ack);
+  void HandleGetAck(const std::string& from, GetAckMsg ack);
+  /// An undecodable get ack carries no request id, so every pending read
+  /// is checked against the sender.
+  void HandleCorruptGetAck(const std::string& from);
+  void HandleHandoffAck(HandoffAckMsg ack);
 
-  // Coordinator-side handlers. Run on the request id's home shard.
-  void HandlePutAck(ShardState& ss, const std::string& from,
-                    PutAckMsg ack) HOTMAN_SHARD_AFFINE;
-  void HandleGetAck(ShardState& ss, const std::string& from,
-                    GetAckMsg ack) HOTMAN_SHARD_AFFINE;
-  /// An undecodable get ack carries no request id, so every shard checks
-  /// its own pending reads against the sender.
-  void HandleCorruptGetAck(ShardState& ss,
-                           const std::string& from) HOTMAN_SHARD_AFFINE;
-  void HandleHandoffAck(ShardState& ss, HandoffAckMsg ack) HOTMAN_SHARD_AFFINE;
-
-  // Put state machine (all on the key's shard).
-  void StartPut(ShardState& ss, bson::Document record,
-                PutCallback cb) HOTMAN_SHARD_AFFINE;
+  // Put state machine.
+  void StartPut(bson::Document record, PutCallback cb);
   /// Sends `put`'s write to `targets`: the original record to the primary,
   /// one shared encoded copy to the other holders, and a hint naming the
   /// covered holder to each handoff substitute.
   void SendPutReplicas(std::uint64_t req, const PendingPut& put,
-                       const std::vector<std::string>& targets)
-      HOTMAN_SHARD_AFFINE;
-  void TryHandoff(ShardState& ss, std::uint64_t req, PendingPut* put,
-                  const std::string& failed) HOTMAN_SHARD_AFFINE;
-  void OnPutTimeout(ShardState& ss, std::uint64_t req) HOTMAN_SHARD_AFFINE;
-  void OnPutCleanup(ShardState& ss, std::uint64_t req) HOTMAN_SHARD_AFFINE;
-  void MaybeFinishPut(ShardState& ss, std::uint64_t req,
-                      PendingPut* put) HOTMAN_SHARD_AFFINE;
+                       const std::vector<std::string>& targets);
+  void TryHandoff(std::uint64_t req, PendingPut* put,
+                  const std::string& failed);
+  void OnPutTimeout(std::uint64_t req);
+  void OnPutCleanup(std::uint64_t req);
+  void MaybeFinishPut(std::uint64_t req, PendingPut* put);
   /// Fails `put` if still undecided, then cancels its timers, retires its
   /// dirty entry and drops it.
-  void RetirePut(ShardState& ss, std::uint64_t req,
-                 PendingPut* put) HOTMAN_SHARD_AFFINE;
+  void RetirePut(std::uint64_t req, PendingPut* put);
 
   // Get executor. CoordinateGet picks a plan; IssueGet sends it; every
   // reply, corrupt ack and timeout feeds DecideGet, which serves, fails,
   // waits or demotes (re-issues a failed demotable plan as a quorum plan).
-  ReadPlan QuorumPlan(const ShardState& ss,
-                      const std::string& key) const HOTMAN_SHARD_AFFINE;
+  ReadPlan QuorumPlan(const std::string& key) const;
   ReadPlan PrimaryPlan(const std::string& primary) const;
   ReadPlan HotPlan(const std::string& replica,
                    const std::string& primary) const;
-  void IssueGet(ShardState& ss, const std::string& key, GetCallback cb,
-                Micros started_at, ReadPlan plan) HOTMAN_SHARD_AFFINE;
-  void DecideGet(ShardState& ss, std::uint64_t req, PendingGet* get,
-                 bool deadline) HOTMAN_SHARD_AFFINE;
+  void IssueGet(const std::string& key, GetCallback cb, Micros started_at,
+                ReadPlan plan);
+  void DecideGet(std::uint64_t req, PendingGet* get, bool deadline);
   /// Flips `done`, counts the outcome and answers the caller.
-  void ConcludeGet(ShardState& ss, std::uint64_t req, PendingGet* get,
-                   Result<bson::Document> result) HOTMAN_SHARD_AFFINE;
-  void DemoteGet(ShardState& ss, std::uint64_t req,
-                 PendingGet* get) HOTMAN_SHARD_AFFINE;
-  void OnGetTimeout(ShardState& ss, std::uint64_t req) HOTMAN_SHARD_AFFINE;
-  void FinalizeGet(ShardState& ss, std::uint64_t req,
-                   PendingGet* get) HOTMAN_SHARD_AFFINE;
+  void ConcludeGet(std::uint64_t req, PendingGet* get,
+                   Result<bson::Document> result);
+  void DemoteGet(std::uint64_t req, PendingGet* get);
+  void OnGetTimeout(std::uint64_t req);
+  void FinalizeGet(std::uint64_t req, PendingGet* get);
 
-  // Dirty-set bookkeeping for the fast read path (on the key's shard).
-  void MarkKeyDirty(ShardState& ss, const std::string& key) HOTMAN_SHARD_AFFINE;
+  // Dirty-set bookkeeping for the fast read path.
+  void MarkKeyDirty(const std::string& key);
   /// Called exactly once per decided put, when its pending entry retires.
-  void RetireDirtyKey(ShardState& ss, const std::string& key,
-                      bool settled_all_n) HOTMAN_SHARD_AFFINE;
-  bool KeyIsCleanOnShard(ShardState& ss,
-                         const std::string& key) HOTMAN_SHARD_AFFINE;
+  void RetireDirtyKey(const std::string& key, bool settled_all_n);
   /// Whether writes must be primary-anchored for single-replica plans to
   /// stay consistent (strict mode; sloppy handoff already trades staleness).
   bool RequirePrimaryAck() const {
@@ -510,31 +401,28 @@ class StorageNode {
 
   // Observability: latency histogram sample + trace record for a decided
   // coordinated operation (call exactly once, when `done` flips).
-  void RecordPutOutcome(ShardState& ss, const PendingPut& put,
-                        std::uint64_t req, bool ok) HOTMAN_SHARD_AFFINE;
-  void RecordGetOutcome(ShardState& ss, const PendingGet& get,
-                        std::uint64_t req, bool ok) HOTMAN_SHARD_AFFINE;
+  void RecordPutOutcome(const PendingPut& put, std::uint64_t req, bool ok);
+  void RecordGetOutcome(const PendingGet& get, std::uint64_t req, bool ok);
 
-  // Anti-entropy plumbing (shard 0; scans every shard's store partition).
+  // Anti-entropy plumbing.
   void StartAntiEntropyTimer();
   void HandleAeDigest(const net::Message& msg);
   void HandleAeRequest(const net::Message& msg);
-  /// Records for which both `self` and `peer` are preference members,
-  /// across all shard partitions.
+  /// Records for which both `self` and `peer` are preference members.
   std::vector<bson::Document> SharedRecords(const std::string& peer);
-  /// Every record on this node (all shard partitions).
-  std::vector<bson::Document> AllShardRecords();
+  /// Every record on this node (empty when the store cannot be read).
+  std::vector<bson::Document> LocalRecords();
 
   // Failure handling.
-  void StartHintTimer(ShardState& ss) HOTMAN_SHARD_AFFINE;
-  void DeliverHints(ShardState& ss) HOTMAN_SHARD_AFFINE;
+  void StartHintTimer();
+  void DeliverHints();
   void OnDetectorTransition(const std::string& endpoint, gossip::Liveness from,
                             gossip::Liveness to);
 
-  // Rebalancing (long failure / node arrival). Shard 0.
+  // Rebalancing (long failure / node arrival).
   void ReplicateLocalData(bool purge_unowned);
 
-  // Elastic-membership plumbing (shard 0).
+  // Elastic-membership plumbing.
   /// Builds the Rebalancer and registers its wire handlers.
   void SetupRebalancer();
   /// Streams the replica-aware diff `before` -> current ring: this node
@@ -547,10 +435,8 @@ class StorageNode {
   void StartAutonomicTimer();
   void RunAutonomicCheck();
 
-  /// The N distinct physical preference nodes for `key`, from `ss`'s
-  /// membership view.
-  std::vector<std::string> PreferenceNodes(const ShardState& ss,
-                                           const std::string& key) const;
+  /// The N distinct physical preference nodes for `key`.
+  std::vector<std::string> PreferenceNodes(const std::string& key) const;
 
   NodeSpec spec_;
   ClusterConfig config_;
@@ -559,11 +445,6 @@ class StorageNode {
   sim::FailureInjector* injector_;
   net::Dispatcher dispatcher_;
 
-  /// The shard runtime: injected (real daemon) or owned (simulation, where
-  /// a non-threaded runtime over the node's transport is built here).
-  std::unique_ptr<net::ShardedExecutor> owned_sharded_;
-  net::ShardedExecutor* sharded_ = nullptr;
-
   hashring::Ring ring_;
   std::set<std::string> removed_nodes_;
   std::unique_ptr<docstore::DocStoreServer> server_;
@@ -571,7 +452,26 @@ class StorageNode {
   std::unique_ptr<gossip::Gossiper> gossiper_;
   std::unique_ptr<gossip::FailureDetector> detector_;
 
-  std::vector<std::unique_ptr<ShardState>> shards_;
+  std::unique_ptr<ReplicaStore> store_;
+  HintStore hints_;
+
+  // Coordinator state: pending operations keyed by request id (1, 2, 3,
+  // ...), the dirty set behind the fast read path, and per-key heat that
+  // feeds the hot-read rotation and /stats heat.*.
+  std::uint64_t next_req_ = 1;
+  std::map<std::uint64_t, PendingPut> pending_puts_;
+  std::map<std::uint64_t, PendingGet> pending_gets_;
+  std::map<std::string, DirtyEntry> dirty_keys_;
+  std::uint64_t dirty_sweep_countdown_ = 0;  ///< periodic expired-entry sweep
+  HeatTracker heat_;
+  net::TimerId hint_timer_ = 0;
+
+  NodeStats stats_;
+  metrics::Histogram put_latency_hist_;
+  metrics::Histogram get_latency_hist_;
+  metrics::Histogram fast_get_latency_hist_;
+  metrics::Histogram quorum_get_latency_hist_;
+  metrics::TraceBuffer traces_{256};
 
   bool running_ = false;
   Micros clock_skew_ = 0;

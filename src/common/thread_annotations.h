@@ -99,14 +99,4 @@
 #define HOTMAN_RETURN_CAPABILITY(x) \
   HOTMAN_THREAD_ANNOTATION_ATTRIBUTE(lock_returned(x))
 
-/// Marks a function as *shard-affine*: it touches state owned by one shard
-/// of a sharded component (net::ShardedExecutor) and must only run in that
-/// shard's execution context. The compiler cannot check this (the
-/// capability is a thread identity, not a lock), so the contract is
-/// enforced by tools/analyze/hotman_analyze.py's `shard-affinity` pass: a
-/// call from non-affine code into an affine function is flagged unless the
-/// call site sits inside a routing closure (an argument of Post / PostSync
-/// / RunOnShard / ScheduleTimer). Expands to nothing for the compiler.
-#define HOTMAN_SHARD_AFFINE
-
 #endif  // HOTMAN_COMMON_THREAD_ANNOTATIONS_H_

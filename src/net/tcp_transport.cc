@@ -190,11 +190,6 @@ void TcpTransport::Wake() {
   (void)!::write(wake_fd_, &one, sizeof(one));
 }
 
-void TcpTransport::SetTickHook(std::function<void()> hook) {
-  MutexLock lock(&hook_mu_);
-  tick_hook_ = std::move(hook);
-}
-
 void TcpTransport::RegisterEndpoint(const std::string& name, Handler handler) {
   Post([this, name, handler = std::move(handler)]() mutable {
     endpoints_[name] = std::move(handler);
@@ -277,12 +272,6 @@ void TcpTransport::LoopMain() {
       }
     }
     ProcessOps();
-    {
-      // Holding hook_mu_ across the call is what makes SetTickHook(nullptr)
-      // a quiescence barrier for the previous hook.
-      MutexLock lock(&hook_mu_);
-      if (tick_hook_) tick_hook_();
-    }
     RunDueTimers();
     FlushListed();
   }

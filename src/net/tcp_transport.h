@@ -101,17 +101,6 @@ class TcpTransport : public Transport {
   /// and never run concurrently with the dying loop.
   void Post(std::function<void()> fn);
 
-  /// Interrupts the loop's epoll wait (so a mailbox filled from another
-  /// thread is drained promptly). Safe from any thread while started.
-  void Wake();
-
-  /// Installs (or clears, with nullptr) a hook the loop runs once per
-  /// iteration after draining its op queue. Synchronous: on return the
-  /// previous hook is no longer running and never will again — safe to tear
-  /// down whatever it drained. Used by ShardedExecutor to empty shard 0's
-  /// mailboxes on the transport loop.
-  void SetTickHook(std::function<void()> hook);
-
   // Transport surface.
   void RegisterEndpoint(const std::string& name, Handler handler) override;
   void UnregisterEndpoint(const std::string& name) override;
@@ -185,6 +174,8 @@ class TcpTransport : public Transport {
 
   TimerId ScheduleOnLoop(TimerId id, Micros delay, std::function<void()> fn);
   bool OnLoopThread() const;
+  /// Interrupts the loop's epoll wait (a Post from another thread).
+  void Wake();
 
   TcpTransportConfig config_;
   const Clock* clock_;
@@ -220,11 +211,6 @@ class TcpTransport : public Transport {
   /// single-threaded setup/teardown contract.
   enum class LoopState { kIdle, kRunning, kStopping };
   LoopState loop_state_ HOTMAN_GUARDED_BY(ops_mu_) = LoopState::kIdle;
-
-  /// Per-tick hook (shard 0 mailbox drain). Runs under hook_mu_ so
-  /// SetTickHook(nullptr) returning guarantees the hook is quiesced.
-  mutable Mutex hook_mu_;
-  std::function<void()> tick_hook_ HOTMAN_GUARDED_BY(hook_mu_);
 
   // Counters/histograms live behind their own lock because ExportStats may
   // run off-loop (the daemon's stats endpoint) while the loop records.

@@ -12,7 +12,6 @@
 #include "bson/document.h"
 #include "common/clock.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "hashring/migration.h"
 #include "hashring/ring.h"
 #include "net/executor.h"
@@ -77,8 +76,7 @@ struct RebalanceStats {
 
 /// The surface the Rebalancer needs from its host node, as hooks so the
 /// subsystem stays free of cluster/ dependencies (and unit-testable
-/// against fakes). All hooks are invoked on the host's system shard
-/// (shard 0), matching anti-entropy.
+/// against fakes). All hooks are invoked on the host node's loop.
 struct RebalancerEnv {
   hashring::NodeId self;
 
@@ -87,7 +85,7 @@ struct RebalancerEnv {
                      bson::Document body)>
       send_msg;
 
-  /// Snapshot of every record held locally (all shard partitions).
+  /// Snapshot of every record held locally.
   std::function<std::vector<bson::Document>()> snapshot;
 
   /// Freshest local version of `key` (NotFound when purged since the
@@ -111,7 +109,7 @@ struct RebalancerEnv {
   /// left is aborted instead of retried forever.
   std::function<bool(const hashring::NodeId& peer)> peer_known;
 
-  /// Timers + clock (the node's shard-0 executor).
+  /// Timers + clock (the node's transport).
   net::Executor* executor = nullptr;
 };
 
@@ -121,8 +119,8 @@ struct RebalancerEnv {
 /// node must stream and drives one transfer per (source, target, arcs)
 /// group. Target side: the Handle* methods apply pushed batches and
 /// maintain per-transfer watermark cursors so a source that lost its
-/// progress resumes instead of restarting. System-shard work, like
-/// anti-entropy: everything here runs on shard 0.
+/// progress resumes instead of restarting. Like anti-entropy, everything
+/// here runs on the node's loop.
 class Rebalancer {
  public:
   Rebalancer(const RebalanceConfig& config, RebalancerEnv env);
@@ -137,34 +135,29 @@ class Rebalancer {
   /// completed or aborted — the decommission path announces its departure
   /// from it. Steps sourced elsewhere are ignored.
   void StartTransfers(const std::vector<hashring::ReplicaMigrationStep>& steps,
-                      std::function<void()> on_all_complete = nullptr)
-      HOTMAN_SHARD_AFFINE;
+                      std::function<void()> on_all_complete = nullptr);
 
   /// Crash/test hook: forgets all source-side progress, as a freshly
   /// restarted process would. The next StartTransfers for the same arcs
   /// regenerates the same content-derived transfer ids and resumes from
   /// the targets' watermarks.
-  void ForgetSourceState() HOTMAN_SHARD_AFFINE;
+  void ForgetSourceState();
 
   /// Crash-with-state-loss hook: a wiped node has neither source progress
   /// nor target watermarks (sources re-stream from zero; LWW keeps that
   /// idempotent).
-  void OnStateLoss() HOTMAN_SHARD_AFFINE;
+  void OnStateLoss();
 
   /// True when `key` lies inside an arc this node is actively streaming
   /// out (the ownership sweep defers purging such keys to the transfer's
   /// completion hook).
-  bool SourcingKey(std::string_view key) const HOTMAN_SHARD_AFFINE;
+  bool SourcingKey(std::string_view key) const;
 
-  /// Wire handlers (registered by the host on its dispatcher, shard 0).
-  void HandleRangeDigest(const std::string& from, const bson::Document& body)
-      HOTMAN_SHARD_AFFINE;
-  void HandleRangeAck(const std::string& from, const bson::Document& body)
-      HOTMAN_SHARD_AFFINE;
-  void HandleRangePush(const std::string& from, const bson::Document& body)
-      HOTMAN_SHARD_AFFINE;
-  void HandleTransferDone(const std::string& from, const bson::Document& body)
-      HOTMAN_SHARD_AFFINE;
+  /// Wire handlers (registered by the host on its dispatcher).
+  void HandleRangeDigest(const std::string& from, const bson::Document& body);
+  void HandleRangeAck(const std::string& from, const bson::Document& body);
+  void HandleRangePush(const std::string& from, const bson::Document& body);
+  void HandleTransferDone(const std::string& from, const bson::Document& body);
 
   std::size_t active_transfers() const;
   bool Idle() const { return active_transfers() == 0; }

@@ -262,7 +262,7 @@ TEST_P(ReadPlanDemotionTest, DemotesToQuorumAndReturnsItsAnswer) {
   StorageNode* primary_node = cluster.node(primary);
   switch (fault) {
     case Fault::kMiss:  // the primary lost its copy
-      ASSERT_TRUE(primary_node->StoreForKey(key)->Purge(key).ok());  // NOLINT(hotman-shard-affinity) single-threaded sim; deliberate out-of-band divergence
+      ASSERT_TRUE(primary_node->store()->Purge(key).ok());
       break;
     case Fault::kErrorAck:
       primary_node->server()->SetFault(docstore::FaultMode::kDiskError);

@@ -153,7 +153,7 @@ TEST(HotReadTest, StaleReplicaIsNeverServed) {
     const bson::Document newer = core::MakeRecord(
         holder->server()->db()->id_generator()->Next(), "hk", ToBytes("new"),
         /*is_copy=*/i != 0, /*deleted=*/false, newer_ts, prefs[0]);
-    ASSERT_TRUE(holder->StoreForKey("hk")->Apply(newer).ok());  // NOLINT(hotman-shard-affinity) single-threaded sim; deliberate out-of-band divergence
+    ASSERT_TRUE(holder->store()->Apply(newer).ok());
   }
 
   const auto before = cluster.AggregateStats();

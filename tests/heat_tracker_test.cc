@@ -92,7 +92,7 @@ TEST(HeatTrackerTest, MergeIsAssociativeWithinCapacity) {
   config.capacity = 64;
   config.half_life = kMicrosPerSecond;
 
-  // Three shard-local trackers over overlapping keyspaces that jointly fit
+  // Three per-node trackers over overlapping keyspaces that jointly fit
   // in capacity, as in the /stats rollup.
   HeatTracker a(config), b(config), c(config);
   Rng rng(5);

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -274,6 +275,40 @@ TEST_F(LoopbackClusterTest, QuorumOpsSurviveNodeKill) {
   for (int i = 0; i < 2; ++i) {
     Reap(&nodes_[i], /*expect_clean=*/true);
   }
+}
+
+// hotmand runs one reactor per node: `--shards 1` is accepted for launch
+// scripts that pass it, and any other count is refused at argument parsing.
+TEST(HotmandFlagsTest, MultiShardRequestExitsTwo) {
+  const char* bin = std::getenv("HOTMAND_BIN");
+  if (bin == nullptr) GTEST_SKIP() << "HOTMAND_BIN not set (run via ctest)";
+  std::vector<std::string> args = {
+      bin, "--node", "n1:1", "--listen", "127.0.0.1:1",
+      "--peer", "n1:1=127.0.0.1:1", "--shards", "2"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    std::FILE* sink = std::freopen("/dev/null", "w", stderr);
+    (void)sink;
+    ::execv(bin, argv.data());
+    ::_exit(127);
+  }
+  // A daemon that accepted the flag would start serving and never exit.
+  int status = 0;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (::waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      FAIL() << "hotmand --shards 2 kept running";
+    }
+    std::this_thread::sleep_for(10ms);
+  }
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
 }
 
 }  // namespace

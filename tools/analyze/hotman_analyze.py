@@ -7,7 +7,7 @@ lock sets and determinism across the whole tree. Run from anywhere:
     python3 tools/analyze/hotman_analyze.py [--root REPO] [--json OUT]
 
 Registered as the `hotman_analyze` ctest (label: lint), so `ctest -L lint`
-enforces it. Five passes (see DESIGN.md "Static analysis" for the full
+enforces it. Four passes (see DESIGN.md "Static analysis" for the full
 inventory and the real bugs that motivated each):
 
 1. transitive-blocking — the event-loop layers (src/sim, src/cluster,
@@ -37,15 +37,6 @@ inventory and the real bugs that motivated each):
    replayed state: flags range-for over unordered containers,
    pointer-keyed ordered/unordered containers, and pointer-identity
    hashing/casting.
-
-5. shard-affinity — functions declared HOTMAN_SHARD_AFFINE touch state
-   owned by one shard of a sharded component (net::ShardedExecutor, PR 8)
-   and must only run in that shard's execution context. The compiler
-   cannot check this (the capability is a thread identity, not a lock),
-   so the pass flags any call into an affine function from non-affine
-   code unless the call site sits inside a routing closure — an argument
-   of Post / PostSync / RunOnShard / ScheduleTimer, which is exactly the
-   mailbox hop the contract requires.
 
 A finding line may opt out with `// NOLINT(hotman-<rule>)` plus a
 justification (the suppression itself is reported when the justification
@@ -79,12 +70,9 @@ REPLAY_DIRS = EVENT_LOOP_DIRS | {"workload"}
 # transport. Chasing every override would flag the deliberate real-time
 # implementations, so the closure stops here; the hotman-transport-boundary
 # lint rule polices which implementation an event-loop layer can see.
-# PostSync is the sharded-executor side of the same seam (PR 8): inline in
-# the deterministic runtime, a deliberate blocking rendezvous on the
-# threaded one (setup / stats merges / teardown only — never the hot path).
 SEAM_CALLS = {
     "Send", "ScheduleTimer", "CancelTimer", "NowMicros",
-    "RegisterEndpoint", "UnregisterEndpoint", "Post", "PostSync",
+    "RegisterEndpoint", "UnregisterEndpoint", "Post",
 }
 
 # Function-like macros that hide a call the tokenizer cannot see.
@@ -576,120 +564,6 @@ def pass_determinism(tree):
     return findings
 
 
-# --- pass 5: shard affinity --------------------------------------------------
-
-_AFFINE_MACRO = "HOTMAN_SHARD_AFFINE"
-
-# Calls that carry a closure into the owning shard's execution context: a
-# call to an affine function from inside their argument list IS the mailbox
-# hop the contract asks for, so those spans are exempt.
-_ROUTING_OPEN = re.compile(
-    r"\b(?:PostSync|Post|RunOnShard|ScheduleTimer)\s*\(")
-
-_TRAILER_BEFORE_AFFINE = {"const", "noexcept", "override", "final"}
-
-
-def _declared_affine_names(sf):
-    """Simple names of functions whose declaration (or inline definition)
-    in `sf` carries HOTMAN_SHARD_AFFINE. Token-level backward walk from
-    each macro occurrence to the identifier owning the parameter list, so
-    multi-line declarations and trailing const/noexcept work."""
-    names = set()
-    code = sf.code
-    for m in re.finditer(r"\b" + _AFFINE_MACRO + r"\b", code):
-        i = m.start() - 1
-        while i >= 0:
-            while i >= 0 and code[i].isspace():
-                i -= 1
-            j = i
-            while j >= 0 and (code[j].isalnum() or code[j] == "_"):
-                j -= 1
-            word = code[j + 1:i + 1]
-            if word in _TRAILER_BEFORE_AFFINE:
-                i = j
-                continue
-            break
-        if i < 0 or code[i] != ")":
-            continue
-        depth = 0
-        while i >= 0:
-            if code[i] == ")":
-                depth += 1
-            elif code[i] == "(":
-                depth -= 1
-                if depth == 0:
-                    break
-            i -= 1
-        i -= 1
-        while i >= 0 and code[i].isspace():
-            i -= 1
-        j = i
-        while j >= 0 and (code[j].isalnum() or code[j] == "_"):
-            j -= 1
-        name = code[j + 1:i + 1]
-        if name and not name[0].isdigit():
-            names.add(name)
-    return names
-
-
-def _routing_spans(body):
-    """Body-offset ranges [(start, end)] covered by the argument list of a
-    routing call; closures inside them run in the target shard's context."""
-    spans = []
-    for m in _ROUTING_OPEN.finditer(body):
-        depth = 0
-        i = m.end() - 1
-        while i < len(body):
-            if body[i] == "(":
-                depth += 1
-            elif body[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        spans.append((m.end(), i))
-    return spans
-
-
-def pass_shard_affinity(tree):
-    affine_by_file = {rel: _declared_affine_names(sf)
-                      for rel, sf in tree.files.items()}
-    findings = []
-    for sf in tree.files.values():
-        if sf.layer is None:
-            continue
-        visible = set(affine_by_file.get(sf.rel, ()))
-        for dep in tree.include_closure(sf.rel):
-            visible |= affine_by_file.get(dep, set())
-        if not visible:
-            continue
-        call_re = re.compile(
-            r"\b(" + "|".join(sorted(re.escape(n) for n in visible)) +
-            r")\s*\(")
-        for fn in sf.functions:
-            # The definition of an affine function runs in shard context by
-            # contract; its calls into sibling affine functions are fine.
-            if _AFFINE_MACRO in fn.signature or fn.name in visible:
-                continue
-            spans = None
-            for m in call_re.finditer(fn.body):
-                if spans is None:
-                    spans = _routing_spans(fn.body)
-                if any(a <= m.start() < b for a, b in spans):
-                    continue
-                name = m.group(1)
-                line = _line_of(fn.body_line, fn.body, m.start())
-                findings.append(Finding(
-                    "shard-affinity", sf.rel, line, fn.qualname,
-                    f"non-affine code calls shard-affine `{name}` outside "
-                    "a routing closure: the callee touches single-shard "
-                    "state, so hop to the owning shard first (Post / "
-                    "PostSync / RunOnShard / ScheduleTimer) or mark the "
-                    "caller HOTMAN_SHARD_AFFINE",
-                    fp_extra=f"{name}"))
-    return findings
-
-
 # --- suppression / baseline / driver -----------------------------------------
 
 def _apply_nolint(tree, findings):
@@ -723,7 +597,6 @@ def analyze_tree(root, subdirs=("src",)):
     findings += pass_lock_order(tree)
     findings += pass_callback_leaks(tree)
     findings += pass_determinism(tree)
-    findings += pass_shard_affinity(tree)
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
     return _apply_nolint(tree, findings)
 

@@ -228,40 +228,6 @@ class DeterminismTest(unittest.TestCase):
         self.assertEqual([str(f) for f in out], [])
 
 
-# --- pass 5: shard affinity --------------------------------------------------
-
-class ShardAffinityTest(unittest.TestCase):
-    HEADER = {"shard_affinity.h": "src/cluster/shard_router.h"}
-
-    def test_unrouted_calls_flagged(self):
-        out = analyze_fixtures(dict(
-            self.HEADER, **{"shard_affinity_bad.cc":
-                            "src/cluster/shard_router.cc"}))
-        hits = [f for f in out if f.rule == "shard-affinity"]
-        self.assertEqual(len(hits), 2, [str(f) for f in out])
-        by_fn = {f.function for f in hits}
-        # The direct call and the shard-hopping stored callback.
-        self.assertIn("hotman::cluster::ShardRouter::Route", by_fn)
-        self.assertIn("hotman::cluster::ShardRouter::Tick", by_fn)
-        messages = "\n".join(f.message for f in hits)
-        self.assertIn("`ApplyDelta`", messages)
-        self.assertIn("`FlushShard`", messages)
-        # The Post()-routed call in Drain stays quiet.
-        self.assertNotIn("hotman::cluster::ShardRouter::Drain", by_fn)
-
-    def test_routed_and_affine_to_affine_quiet(self):
-        out = analyze_fixtures(dict(
-            self.HEADER, **{"shard_affinity_ok.cc":
-                            "src/cluster/router_ok.cc"}))
-        self.assertEqual([str(f) for f in out], [])
-
-    def test_justified_nolint_suppresses(self):
-        out = analyze_fixtures(dict(
-            self.HEADER, **{"shard_affinity_suppressed.cc":
-                            "src/cluster/router_sup.cc"}))
-        self.assertEqual([str(f) for f in out], [])
-
-
 # --- real tree ---------------------------------------------------------------
 
 class RealTreeTest(unittest.TestCase):

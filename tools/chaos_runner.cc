@@ -40,7 +40,6 @@ struct Args {
   bool show_nemesis = false;
   std::optional<ReadPath> read_path;  // unset keeps the profile's plan
   double zipf_theta = -1.0;   // <0 keeps the profile's own skew setting
-  int shards = 1;             // shards per node (deterministic multi-shard)
   std::string lying_replica;  // negative-control passthrough
 };
 
@@ -50,7 +49,7 @@ void Usage() {
                "                    [--profile=quorum|convergence|membership"
                "|skew]\n"
                "                    [--read-path=quorum|primary|hot]\n"
-               "                    [--zipf-theta=T] [--shards=N]\n"
+               "                    [--zipf-theta=T]\n"
                "                    [--verify] [--quiet] [--history]\n"
                "                    [--nemesis-log] [--lying-replica=ADDR]\n");
 }
@@ -74,8 +73,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->profile = name;
     } else if (const char* addr = value("--lying-replica=")) {
       args->lying_replica = addr;
-    } else if (const char* shards = value("--shards=")) {
-      args->shards = std::atoi(shards);
     } else if (const char* theta = value("--zipf-theta=")) {
       args->zipf_theta = std::atof(theta);
     } else if (const char* path = value("--read-path=")) {
@@ -103,7 +100,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
   }
-  if (args->seed_hi < args->seed_lo || args->shards < 1 || args->shards > 64 ||
+  if (args->seed_hi < args->seed_lo ||
       (args->profile != "quorum" && args->profile != "convergence" &&
        args->profile != "membership" && args->profile != "skew")) {
     Usage();
@@ -130,7 +127,6 @@ ChaosOptions OptionsFor(const Args& args, std::uint64_t seed) {
     options.heat.half_life = 4 * hotman::kMicrosPerSecond;
   }
   if (args.zipf_theta >= 0.0) options.zipf_theta = args.zipf_theta;
-  options.shards = args.shards;
   return options;
 }
 

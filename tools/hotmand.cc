@@ -14,6 +14,8 @@
 //
 // Every listed peer (self included) is a static cluster member; gossip and
 // the failure detector take over from there, exactly as in simulation.
+// The node runs on one reactor, the transport's loop thread: to use more
+// cores, run more hotmand processes.
 
 #include <csignal>
 #include <cstdio>
@@ -57,10 +59,8 @@ void Usage(const char* argv0) {
       stderr,
       "usage: %s --node NAME --listen HOST:PORT --peer NAME=HOST:PORT...\n"
       "          [--seeds NAME,NAME,...] [--n N] [--w W] [--r R]\n"
-      "          [--shards S] [--gossip-ms MS] [--op-timeout-ms MS]\n"
-      "          [--seed-rng U64]\n"
-      "Every --peer (self included) is a static cluster member.\n"
-      "--shards S runs S reactors per node (shard-per-core; default 1).\n",
+      "          [--gossip-ms MS] [--op-timeout-ms MS] [--seed-rng U64]\n"
+      "Every --peer (self included) is a static cluster member.\n",
       argv0);
 }
 
@@ -124,9 +124,16 @@ int main(int argc, char** argv) {
       if (v == nullptr) { Usage(argv[0]); return 2; }
       config.read_quorum = std::atoi(v);
     } else if (arg == "--shards") {
+      // Accepted for old launch scripts that pass `--shards 1`; the node
+      // always runs on one reactor.
       const char* v = next();
       if (v == nullptr) { Usage(argv[0]); return 2; }
-      config.shards = std::atoi(v);
+      if (std::strcmp(v, "1") != 0) {
+        std::fprintf(stderr,
+                     "hotmand: shard-per-core runtime removed; run one "
+                     "hotmand per core\n");
+        return 2;
+      }
     } else if (arg == "--gossip-ms") {
       const char* v = next();
       if (v == nullptr) { Usage(argv[0]); return 2; }
@@ -191,25 +198,9 @@ int main(int argc, char** argv) {
   }
 
   net::TcpTransport transport(tconfig);
-  // Shard-per-core runtime: the transport's event loop is shard 0 (gossip,
-  // membership, the wire protocol); reactors 1..S-1 carry the keyed
-  // coordinator/replica work, routed by ring position.
-  net::ShardedExecutorConfig sconfig;
-  sconfig.shards = config.shards;
-  net::ShardedExecutor sharded(&transport, sconfig);
-
   if (Status s = transport.Start(); !s.ok()) {
     std::fprintf(stderr, "hotmand: transport start failed: %s\n",
                  s.ToString().c_str());
-    return 1;
-  }
-  // Launch order matters: the reactors must exist before the node captures
-  // its per-shard executors, and the transport loop must be running so
-  // Launch() can tag it as shard 0.
-  if (Status s = sharded.Launch(); !s.ok()) {
-    std::fprintf(stderr, "hotmand: shard reactors failed to start: %s\n",
-                 s.ToString().c_str());
-    transport.Stop();
     return 1;
   }
   // Safe to construct with the loop live: the transport accepts no
@@ -217,7 +208,7 @@ int main(int argc, char** argv) {
   // whole Start() runs as one loop op, so the first frame read from a
   // client or peer finds the node serving.
   auto node = std::make_unique<cluster::StorageNode>(
-      self_spec, config, &transport, /*injector=*/nullptr, rng_seed, &sharded);
+      self_spec, config, &transport, /*injector=*/nullptr, rng_seed);
   cluster::NodeServer server(node.get(), &transport);
   server.Start();
   {
@@ -231,10 +222,10 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
   std::fprintf(stderr,
-               "hotmand: %s serving on %s:%u (N=%d W=%d R=%d shards=%d)\n",
+               "hotmand: %s serving on %s:%u (N=%d W=%d R=%d)\n",
                self.c_str(), listen.host.c_str(), transport.listen_port(),
                config.replication_factor, config.write_quorum,
-               config.read_quorum, config.shards);
+               config.read_quorum);
 
   while (g_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -249,7 +240,6 @@ int main(int argc, char** argv) {
     });
     stopped.get_future().wait();
   }
-  sharded.Shutdown();
   transport.Stop();
   return 0;
 }
